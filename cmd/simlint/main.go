@@ -9,7 +9,9 @@
 //	simlint [flags] [./...]
 //	simlint ./internal/dram ./internal/event
 //
-// With "./..." (the default) every package under the module is analyzed.
+// With "./..." (the default) every package under the module is analyzed;
+// like `go list ./...`, the walk stops at nested modules (subdirectories
+// with their own go.mod) and at testdata, hidden and underscore dirs.
 // Diagnostics print as file:line:col: rule: message; the exit status is 1
 // when any diagnostic is reported. Suppress a finding with a trailing
 // `//bear:nolint <rule> — reason` comment.
@@ -216,7 +218,8 @@ type cacheEntry struct {
 }
 
 // treeHash fingerprints everything a run's outcome depends on: the module
-// path, the argument list, and the content of every non-test .go file plus
+// path, the argument list, and the content of every non-test .go file the
+// walk reaches (lint.SkipDir prunes it the way FindPackageDirs does) plus
 // go.mod. Rule changes invalidate the cache automatically because the rules
 // live in internal/lint's own .go files.
 func treeHash(root, module string, args []string) (string, error) {
@@ -228,8 +231,7 @@ func treeHash(root, module string, args []string) (string, error) {
 			return err
 		}
 		if fi.IsDir() {
-			name := fi.Name()
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if lint.SkipDir(root, path) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -305,8 +307,7 @@ func reportNolints(w io.Writer, root string) error {
 			return err
 		}
 		if fi.IsDir() {
-			name := fi.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if lint.SkipDir(root, path) {
 				return filepath.SkipDir
 			}
 			return nil

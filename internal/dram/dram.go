@@ -16,29 +16,22 @@
 // The same model instantiates both the stacked-DRAM cache (high bandwidth)
 // and the DDR main memory (low bandwidth); only the config differs.
 //
-// Selection is incremental rather than a per-kick rescan: each channel
-// splits its read and write queues into per-bank FIFOs and memoizes, per
-// bank, the position of the earliest-arrival row hit and row miss under the
-// bank's current open row. A pick is then a min over at most Banks cached
-// candidates by (burst start, row-hit, arrival order) — bit-exactly the
-// winner the old bounded scan of the scanLimit oldest requests produced —
-// with the memos invalidated only by the events that can change them: an
-// enqueue to the bank, a removal from the bank's FIFO, or an open-row
-// change (a row-miss commit). See pick for the exactness argument and
-// reference.go for the naive scan the differential tests and -check mode
-// hold it to.
+// Each pick is one bounded scan of the scanLimit oldest requests of an
+// arrival-ordered queue, minimising (burst start, row-miss-after-hit,
+// arrival). The scan carries two exact prunes (see pick); reference.go
+// keeps the unpruned scan, which -check mode and the differential fuzz
+// hold every live pick to. ARCHITECTURE.md ("DRAM scheduling") gives the
+// measured reason for each remaining optimization.
 //
 // The per-transaction hot path is steady-state allocation-free: Request
 // objects are recycled through a per-Memory freelist (a request completes
 // deterministically in its completion event, where it is returned to the
 // pool), each request carries a pre-bound completion callback so scheduling
-// one costs no closure allocation, and the per-bank queues are head-index
-// rings so the FCFS dequeue never copies the queue tail.
+// one costs no closure allocation, and the per-channel queues are head-index
+// rings so the common FCFS dequeue never copies the queue tail.
 package dram
 
 import (
-	"math/bits"
-
 	"bear/internal/config"
 	"bear/internal/event"
 	"bear/internal/fault"
@@ -62,7 +55,6 @@ type Request struct {
 
 	enqueued uint64
 	burst    uint64 // data-burst cycles, computed once at Enqueue
-	seq      uint64 // per-channel arrival stamp: the FIFO tie-break order
 
 	m      *Memory    // memory this request is bound to
 	fn     event.Func // pre-bound r.complete, created once per Request
@@ -109,329 +101,60 @@ type bank struct {
 	openAt    uint64 // cycle the open row became CAS-ready
 }
 
-// ent mirrors the four Request fields the scheduler's timing math reads —
-// arrival stamp, row, enqueue cycle and burst length — so candidate
-// evaluation walks a dense array instead of chasing a *Request per entry.
-// Requests are freelist-recycled and land wherever the allocator put them;
-// their cache lines are the scheduler's dominant memory traffic without
-// this mirror. The fields are immutable for a queued request, so the copy
-// cannot go stale (checkPool diffs it against the Request anyway).
-type ent struct {
-	seq uint64
-	row uint64
-	enq uint64
-	bur uint64
-}
-
-// bankQ is one bank's FIFO of pending requests with O(1) head removal: a
-// request slice, its ent mirror, and a shared head index. Removing the head
-// (the overwhelmingly common pick under per-bank splitting) just advances
-// the index; the vacated prefix is reclaimed by compacting on a later push
-// once it dominates the backing array, which keeps pushes amortised O(1)
-// without ever copying on the scheduler's critical pick path.
-type bankQ struct {
-	req  []*Request
-	ent  []ent
+// reqQ is a FIFO request queue with O(1) head removal: a slice plus a head
+// index. Removing the head (the common FCFS pick) just advances the index;
+// the vacated prefix is reclaimed by compacting on a later push once it
+// dominates the backing array, which keeps pushes amortised O(1) without
+// ever copying on the scheduler's critical pick path.
+type reqQ struct {
+	buf  []*Request
 	head int
 }
 
 // Len reports the number of queued requests.
-func (q *bankQ) Len() int { return len(q.req) - q.head }
+func (q *reqQ) Len() int { return len(q.buf) - q.head }
 
 // At returns the i-th queued request in FIFO order.
-func (q *bankQ) At(i int) *Request { return q.req[q.head+i] }
-
-// at returns the scheduler's view of the i-th queued request.
-//
-//bear:hotpath
-func (q *bankQ) at(i int) *ent { return &q.ent[q.head+i] }
+func (q *reqQ) At(i int) *Request { return q.buf[q.head+i] }
 
 // Push appends a request, compacting the dead prefix when it has grown to
 // half the backing array.
-func (q *bankQ) Push(r *Request) {
-	if q.head > 0 && q.head*2 >= cap(q.req) {
-		n := copy(q.req, q.req[q.head:])
-		copy(q.ent, q.ent[q.head:])
-		for i := n; i < len(q.req); i++ {
-			q.req[i] = nil
+func (q *reqQ) Push(r *Request) {
+	if q.head > 0 && q.head*2 >= cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		for i := n; i < len(q.buf); i++ {
+			q.buf[i] = nil
 		}
-		q.req = q.req[:n]
-		q.ent = q.ent[:n]
+		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	q.req = append(q.req, r)
-	q.ent = append(q.ent, ent{seq: r.seq, row: r.Row, enq: r.enqueued, bur: r.burst})
+	q.buf = append(q.buf, r)
 }
 
 // RemoveAt removes and returns the i-th queued request. i == 0 is O(1);
-// other positions (taken only when a refresh push reorders starts within a
-// bank) shift the tail, bounded by the bank's share of the scan window.
-func (q *bankQ) RemoveAt(i int) *Request {
+// other positions shift the tail, bounded by the scheduler's scan limit.
+func (q *reqQ) RemoveAt(i int) *Request {
 	j := q.head + i
-	r := q.req[j]
+	r := q.buf[j]
 	if i == 0 {
-		q.req[j] = nil
+		q.buf[j] = nil
 		q.head++
-		if q.head == len(q.req) {
-			q.req = q.req[:0]
-			q.ent = q.ent[:0]
+		if q.head == len(q.buf) {
+			q.buf = q.buf[:0]
 			q.head = 0
 		}
 		return r
 	}
-	copy(q.req[j:], q.req[j+1:])
-	copy(q.ent[j:], q.ent[j+1:])
-	q.req[len(q.req)-1] = nil
-	q.req = q.req[:len(q.req)-1]
-	q.ent = q.ent[:len(q.ent)-1]
+	copy(q.buf[j:], q.buf[j+1:])
+	q.buf[len(q.buf)-1] = nil
+	q.buf = q.buf[:len(q.buf)-1]
 	return r
-}
-
-// Sentinels for pool.firstHit / pool.firstMiss.
-const (
-	classStale = -2 // the bank's open row changed; rebuild on next use
-	classNone  = -1 // no queued request of that class
-)
-
-// pool is one channel's read or write queue, split into per-bank FIFOs
-// (arrival order within each bank; the global FIFO order is recovered from
-// Request.seq) with the scheduler's incrementally maintained state:
-//
-//   - firstHit[b]/firstMiss[b] memoize the FIFO position of bank b's
-//     earliest-arrival row hit / row miss under the bank's current open
-//     row, and nHit[b] the bank's total queued hits. An enqueue or removal
-//     updates them in place; a row-miss commit to the bank (the only event
-//     that reclassifies queued requests) marks them classStale for a lazy
-//     rebuild in ensureClass.
-//   - win[b] is how many of bank b's requests fall inside the scan window
-//     — the min(scanLimit, size) oldest requests of the whole pool. Each
-//     bank's in-window requests are a prefix of its FIFO, because per-bank
-//     arrival order is a subsequence of the global one; while the pool
-//     fits the window entirely, win[b] simply equals the FIFO length.
-//   - ex records, in arrival order, every request that joined the pool
-//     outside the scan window. Promoting the oldest excluded request after
-//     a removal pops the ring instead of scanning every bank.
-type pool struct {
-	bq   []bankQ
-	size int     // total queued requests across banks
-	occ  bankSet // bitmask of banks with a non-empty FIFO
-
-	firstHit  []int32
-	firstMiss []int32
-	nHit      []int32
-
-	win []int32
-	ex  exRing
-}
-
-// exRing is the pool's excluded-arrivals ring: (bank, seq) pairs in push
-// order (which is seq order) for every request that joined outside the scan
-// window, with the usual head-index + compaction idiom. Entries are popped
-// lazily: a promoted request's entry is popped at promotion; entries whose
-// request was promoted when the pool drained to the window size (removals
-// below it never consult the ring) die in place and are skipped — detected
-// by the seq at the owning bank's window boundary no longer matching — the
-// next time a promotion walks the front.
-type exRing struct {
-	seq  []uint64
-	bank []int32
-	head int
-}
-
-//bear:hotpath
-func (x *exRing) push(seq uint64, bank int32) {
-	if x.head > 0 && x.head*2 >= cap(x.seq) {
-		n := copy(x.seq, x.seq[x.head:])
-		copy(x.bank, x.bank[x.head:])
-		x.seq = x.seq[:n]
-		x.bank = x.bank[:n]
-		x.head = 0
-	}
-	x.seq = append(x.seq, seq)
-	x.bank = append(x.bank, bank)
-}
-
-func (p *pool) init(banks int) {
-	p.bq = make([]bankQ, banks)
-	p.occ = make(bankSet, (banks+63)/64)
-	p.firstHit = make([]int32, banks)
-	p.firstMiss = make([]int32, banks)
-	p.nHit = make([]int32, banks)
-	p.win = make([]int32, banks)
-	for i := 0; i < banks; i++ {
-		p.firstHit[i] = classNone
-		p.firstMiss[i] = classNone
-	}
-}
-
-// push appends r to its bank's FIFO and folds it into the class memos: an
-// appended request can only become the first of its class if the bank had
-// none queued. The window admits the newcomer only while the pool still
-// fits inside it; once full, the newcomer has the largest seq and joins the
-// excluded suffix, leaving win untouched — O(1) either way, which matters
-// because the write-drain low watermark parks pools right at the window
-// boundary.
-//
-//bear:hotpath
-func (p *pool) push(c *channel, r *Request) {
-	b := r.Bank
-	q := &p.bq[b]
-	at := int32(q.Len())
-	q.Push(r)
-	p.size++
-	p.occ.set(b)
-	if p.firstHit[b] != classStale {
-		bk := &c.banks[b]
-		if bk.hasOpen && bk.openRow == r.Row {
-			p.nHit[b]++
-			if p.firstHit[b] == classNone {
-				p.firstHit[b] = at
-			}
-		} else if p.firstMiss[b] == classNone {
-			p.firstMiss[b] = at
-		}
-	}
-	if p.size <= scanLimit {
-		p.win[b]++
-	} else {
-		p.ex.push(r.seq, int32(b))
-	}
-}
-
-// remove extracts the request at position idx of bank b's FIFO (always an
-// in-window position: only picked requests are removed) and repairs the
-// class memos across the shift. Removing the first of a class rescans the
-// suffix for its successor — everything before it is the other class by
-// definition of "first". The repair is skipped when the caller passes
-// stale: a row-miss commit follows, which reclassifies the whole bank and
-// marks both pools' memos for rebuild anyway — and the miss pick is the
-// dominant removal, so the dominant removal does no memo work at all.
-// The window loses one of the pool's oldest-16, so
-// the globally oldest excluded request is promoted to keep the window the
-// scanLimit oldest: the front of the excluded ring, past any entries whose
-// requests already re-entered the window. The ring front is provably the
-// owning bank's first excluded request — its bank's earlier excluded
-// arrivals have smaller seqs, sat ahead of it in the ring, and were
-// promoted (or skipped) before it — so it sits exactly at win[bank].
-//
-//bear:hotpath
-func (p *pool) remove(c *channel, b int, idx int32, stale bool) *Request {
-	q := &p.bq[b]
-	r := q.RemoveAt(int(idx))
-	p.size--
-	if q.Len() == 0 {
-		p.occ.clear(b)
-	}
-	if stale {
-		p.firstHit[b] = classStale
-	} else if p.firstHit[b] != classStale {
-		bk := &c.banks[b]
-		if bk.hasOpen && bk.openRow == r.Row {
-			p.nHit[b]--
-			if fh := p.firstHit[b]; fh == idx {
-				p.firstHit[b] = p.scanFor(c, b, idx, true)
-			} else if fh > idx {
-				p.firstHit[b] = fh - 1
-			}
-			if fm := p.firstMiss[b]; fm > idx {
-				p.firstMiss[b] = fm - 1
-			}
-		} else {
-			if fm := p.firstMiss[b]; fm == idx {
-				p.firstMiss[b] = p.scanFor(c, b, idx, false)
-			} else if fm > idx {
-				p.firstMiss[b] = fm - 1
-			}
-			if fh := p.firstHit[b]; fh > idx {
-				p.firstHit[b] = fh - 1
-			}
-		}
-	}
-	p.win[b]--
-	if p.size >= scanLimit {
-		// The pool still overflows the window (or fills it exactly), so an
-		// excluded request exists; promote the oldest one in.
-		for {
-			eb := int(p.ex.bank[p.ex.head])
-			es := p.ex.seq[p.ex.head]
-			p.ex.head++
-			eq := &p.bq[eb]
-			w := int(p.win[eb])
-			if w < eq.Len() && eq.ent[eq.head+w].seq == es {
-				p.win[eb]++
-				break
-			}
-			// Dead entry: its request was promoted as the pool last drained
-			// through the window boundary. Skip it.
-		}
-		if p.ex.head == len(p.ex.seq) {
-			p.ex.seq = p.ex.seq[:0]
-			p.ex.bank = p.ex.bank[:0]
-			p.ex.head = 0
-		}
-	}
-	return r
-}
-
-// scanFor returns the FIFO position of bank b's earliest request of the
-// given class at or after position from, or classNone.
-//
-//bear:hotpath
-func (p *pool) scanFor(c *channel, b int, from int32, wantHit bool) int32 {
-	q := &p.bq[b]
-	bk := &c.banks[b]
-	ents := q.ent[q.head:]
-	for i := int(from); i < len(ents); i++ {
-		if (bk.hasOpen && bk.openRow == ents[i].row) == wantHit {
-			return int32(i)
-		}
-	}
-	return classNone
-}
-
-// ensureClass rebuilds bank b's class memos after an open-row change.
-//
-//bear:hotpath
-func (p *pool) ensureClass(c *channel, b int) {
-	if p.firstHit[b] != classStale {
-		return
-	}
-	q := &p.bq[b]
-	fh, fm, n := int32(classNone), int32(classNone), int32(0)
-	if bk := &c.banks[b]; bk.hasOpen {
-		row := bk.openRow
-		ents := q.ent[q.head:]
-		for i := range ents {
-			if ents[i].row == row {
-				n++
-				if fh == classNone {
-					fh = int32(i)
-				}
-			} else if fm == classNone {
-				fm = int32(i)
-			}
-		}
-	} else if q.Len() > 0 {
-		fm = 0 // no open row: everything queued is a miss
-	}
-	p.firstHit[b], p.firstMiss[b], p.nHit[b] = fh, fm, n
-}
-
-// markStale flags bank b's class memos for rebuild; commit calls it when an
-// activate changes the bank's open row (row-hit commits leave the open row
-// — and therefore every queued request's classification — untouched).
-//
-//bear:hotpath
-func (p *pool) markStale(b int) {
-	p.firstHit[b] = classStale
-	p.firstMiss[b] = classStale
 }
 
 type channel struct {
-	banks []bank
-	read  pool
-	write pool
-	seq   uint64 // next arrival stamp, shared by both pools
+	banks  []bank
+	readQ  reqQ
+	writeQ reqQ
 
 	busFreeAt uint64
 	draining  bool
@@ -454,18 +177,31 @@ type channel struct {
 	stallValid bool
 }
 
-// bankSet is a bank bitmask: one word covers the common geometries, extra
-// words let the Figure 15 sweep scale to hundreds of banks per channel.
-// Word count is fixed at init, so set/clear stay branch-free hot-path ops.
-type bankSet []uint64
+// drainMode applies the write-drain watermark hysteresis to the current
+// mode: drain from the high watermark down to the low one.
+func (m *Memory) drainMode(c *channel) bool {
+	if c.writeQ.Len() <= m.cfg.WriteQLo {
+		return false
+	}
+	if c.writeQ.Len() >= m.cfg.WriteQHi {
+		return true
+	}
+	return c.draining
+}
 
-//bear:hotpath
-func (s bankSet) set(b int) { s[b>>6] |= 1 << uint(b&63) }
-
-//bear:hotpath
-func (s bankSet) clear(b int) { s[b>>6] &^= 1 << uint(b&63) }
-
-func (s bankSet) has(b int) bool { return s[b>>6]&(1<<uint(b&63)) != 0 }
+// source returns the queue the next pick draws from — reads first unless
+// draining, writes when no read waits — or nil when both are empty.
+func (c *channel) source(draining bool) *reqQ {
+	switch {
+	case c.readQ.Len() > 0 && !draining:
+		return &c.readQ
+	case c.writeQ.Len() > 0:
+		return &c.writeQ
+	case c.readQ.Len() > 0:
+		return &c.readQ
+	}
+	return nil
+}
 
 // Memory is one DRAM subsystem.
 type Memory struct {
@@ -473,7 +209,7 @@ type Memory struct {
 	Stats Stats
 
 	// SelfCheck makes every scheduling decision re-derive itself through
-	// the naive reference picker (reference.go) and panic with a typed
+	// the unpruned reference scan (reference.go) and panic with a typed
 	// invariant fault on divergence. The watchdog's -check mode turns it
 	// on; it perturbs nothing — picks, timings and stats are identical —
 	// and only costs time.
@@ -499,10 +235,7 @@ func New(name string, cfg config.DRAM, q *event.Queue) *Memory {
 	}
 	m.ch = make([]*channel, cfg.Channels)
 	for i := range m.ch {
-		c := &channel{banks: make([]bank, cfg.Banks)}
-		c.read.init(cfg.Banks)
-		c.write.init(cfg.Banks)
-		m.ch[i] = c
+		m.ch[i] = &channel{banks: make([]bank, cfg.Banks)}
 	}
 	return m
 }
@@ -560,17 +293,15 @@ func (m *Memory) Enqueue(now uint64, r *Request) {
 	r.enqueued = now
 	r.burst = uint64((r.Bytes + m.cfg.BytesPerCycle - 1) / m.cfg.BytesPerCycle)
 	c := m.ch[r.Channel]
-	r.seq = c.seq
-	c.seq++
 	if r.Write {
-		c.write.push(c, r)
-		if c.write.size > m.Stats.MaxWriteQLen {
-			m.Stats.MaxWriteQLen = c.write.size
+		c.writeQ.Push(r)
+		if c.writeQ.Len() > m.Stats.MaxWriteQLen {
+			m.Stats.MaxWriteQLen = c.writeQ.Len()
 		}
 	} else {
-		c.read.push(c, r)
-		if c.read.size > m.Stats.MaxReadQLen {
-			m.Stats.MaxReadQLen = c.read.size
+		c.readQ.Push(r)
+		if c.readQ.Len() > m.Stats.MaxReadQLen {
+			m.Stats.MaxReadQLen = c.readQ.Len()
 		}
 	}
 	c.stallValid = false // a new candidate can lower the best feasible start
@@ -600,7 +331,7 @@ func (m *Memory) Write(now uint64, ch, bk int, row uint64, bytes int) {
 func (m *Memory) Pending() int {
 	n := 0
 	for _, c := range m.ch {
-		n += c.read.size + c.write.size + c.committed
+		n += c.readQ.Len() + c.writeQ.Len() + c.committed
 	}
 	return n
 }
@@ -628,29 +359,15 @@ func (m *Memory) kick(now uint64, c *channel) {
 		c.stallValid = false
 	}
 	for c.committed < m.cfg.Banks {
-		// Update write-drain mode (watermark hysteresis).
-		if c.write.size >= m.cfg.WriteQHi {
-			c.draining = true
-		}
-		if c.write.size <= m.cfg.WriteQLo {
-			c.draining = false
-		}
-
-		var p *pool
-		switch {
-		case c.read.size > 0 && !c.draining:
-			p = &c.read
-		case c.write.size > 0:
-			p = &c.write
-		case c.read.size > 0:
-			p = &c.read
-		default:
+		c.draining = m.drainMode(c)
+		q := c.source(c.draining)
+		if q == nil {
 			return
 		}
 
-		b, idx, start, hit := m.pick(now, c, p)
+		idx, start, hit := m.pick(now, c, q)
 		if m.SelfCheck {
-			m.verifyPick(now, c, p, b, idx, start, hit)
+			m.verifyPick(now, c, q, idx, start, hit)
 		}
 		// Commit-ahead discipline: while something is already committed,
 		// only reserve bus windows that keep the bus fed. Reserving a
@@ -664,143 +381,53 @@ func (m *Memory) kick(now uint64, c *channel) {
 				return
 			}
 		}
-		m.commit(now, c, p.remove(c, b, idx, !hit), start, hit)
+		m.commit(now, c, q.RemoveAt(idx), start, hit)
 	}
 }
 
-// pick selects the pool's request with the earliest feasible data-burst
-// start; ties broken row-hit-first, then arrival order — the same total
-// order (start, miss-after-hit, seq) the retired bounded scan minimised
-// over the scanLimit oldest requests, restated per bank over the memoized
-// class state:
+// pick selects, among the scanLimit oldest requests of q, the one with the
+// earliest feasible data-burst start; ties go row-hit-first, then to the
+// earlier arrival. The scan keeps the first strict improvement in arrival
+// order, and two prunes skip work without changing the winner:
 //
-//   - Row hits: a hit's start is max(CAS-ready, bus-free) refresh-aligned,
-//     where CAS-ready = max(enqueued, openAt) + tCAS. The earliest-arrival
-//     hit is provably optimal for its bank when its aligned start equals
-//     the bus-free time (no other hit can start before the bus frees, and
-//     equal starts fall to the arrival tie-break) or when it is the bank's
-//     only hit. Otherwise — a refresh pushed it, or CAS-ready times are
-//     not arrival-ordered because enqueue times interleave across issue
-//     paths — an exact scan of the bank's in-window hits decides.
-//   - Row misses: every queued miss of a bank shares one precharge+activate
-//     ready time, so the earliest-arrival miss wins its bank outright
-//     unless refresh alignment pushed that shared start (a later, shorter
-//     burst could then fit an earlier refresh gap), which again falls back
-//     to an exact scan. Misses are also pruned wholesale with the same
-//     lower bound the old scan used: a miss can never start before
-//     max(bank-busy, now) + tRCD + tCAS or before the bus frees, so banks
-//     whose bound cannot beat the current best skip the tRAS/tFAW/refresh
-//     computation entirely.
-//
-// The walk prices at most two candidates per occupied bank — against the
-// retired scan's one start computation per in-window request — and the
-// prunes reduce most banks to a handful of loads and compares.
+//   - No burst starts before the bus frees, and a row hit only loses an
+//     equal-start tie to an earlier arrival. So once the best is a row hit
+//     starting exactly when the bus frees, no later request can displace
+//     it and the scan ends.
+//   - A row miss displaces the best only with a strictly earlier start, and
+//     its start is at least max(bank busy, now) + tRCD + tCAS and at least
+//     the bus-free time. When that bound cannot beat the best, the miss is
+//     skipped without the tRAS/tFAW/refresh computation.
 //
 //bear:hotpath
-//bear:clock result=2
-func (m *Memory) pick(now uint64, c *channel, p *pool) (bank int, idx int32, start uint64, rowHit bool) {
+//bear:clock result=1
+func (m *Memory) pick(now uint64, c *channel, q *reqQ) (idx int, start uint64, rowHit bool) {
 	busFree := max64(c.busFreeAt, now)
-	bank = -1
-	var bestSeq uint64
-	for w, word := range p.occ {
-		base := w << 6
-		for occ := word; occ != 0; occ &= occ - 1 {
-			b := base + bits.TrailingZeros64(occ)
-			limit := p.win[b]
-			if limit == 0 {
+	idx = -1
+	for i := 0; i < q.Len() && i < scanLimit; i++ {
+		r := q.At(i)
+		if idx >= 0 {
+			b := &c.banks[r.Bank]
+			if (!b.hasOpen || b.openRow != r.Row) &&
+				max64(max64(b.busyUntil, now)+m.rcdCas, busFree) >= start {
 				continue
 			}
-			if p.firstHit[b] == classStale {
-				p.ensureClass(c, b)
-			}
-			bk := &c.banks[b]
-			if h := p.firstHit[b]; h >= 0 && h < limit {
-				// Bank-level hit bound: no hit of this bank starts before its
-				// open row is CAS-ready or before the bus frees (alignment only
-				// pushes later). Request enqueue times are not arrival-ordered
-				// within a bank, so the bound must not include them — but the
-				// first hit's seq is minimal among the bank's hits, so it
-				// settles the tie case.
-				hlb := max64(bk.openAt+m.cfg.TCAS, busFree)
-				if bank >= 0 && (hlb > start ||
-					(hlb == start && rowHit && bestSeq < p.bq[b].at(int(h)).seq)) {
-					goto miss
-				}
-				{
-					e := p.bq[b].at(int(h))
-					s := max64(max64(e.enq, bk.openAt)+m.cfg.TCAS, busFree)
-					as := m.alignRefresh(s, e.bur)
-					seq := e.seq
-					if as != busFree && p.nHit[b] > 1 {
-						as, h, seq = m.scanClass(c, p, b, limit, busFree, now, true)
-					}
-					if bank < 0 || as < start || (as == start && (!rowHit || seq < bestSeq)) {
-						bank, idx, start, rowHit, bestSeq = b, h, as, true, seq
-					}
-				}
-			}
-		miss:
-			if mi := p.firstMiss[b]; mi >= 0 && mi < limit {
-				// The shared miss lower bound uses only bank state, so the
-				// common can't-win case skips even the entry load.
-				lb := max64(max64(bk.busyUntil, now)+m.rcdCas, busFree)
-				if bank >= 0 && lb > start {
-					continue
-				}
-				e := p.bq[b].at(int(mi))
-				if bank >= 0 && lb == start && (rowHit || bestSeq < e.seq) {
-					continue
-				}
-				s := max64(m.missReady(c, bk, now), busFree)
-				as := m.alignRefresh(s, e.bur)
-				seq := e.seq
-				if as != s {
-					as, mi, seq = m.scanClass(c, p, b, limit, busFree, now, false)
-				}
-				if bank < 0 || as < start || (as == start && !rowHit && seq < bestSeq) {
-					bank, idx, start, rowHit, bestSeq = b, mi, as, false, seq
-				}
+		}
+		s, h := m.burstStart(now, c, r, busFree)
+		if idx < 0 || s < start || (s == start && h && !rowHit) {
+			idx, start, rowHit = i, s, h
+			if h && s == busFree {
+				break
 			}
 		}
 	}
-	return bank, idx, start, rowHit
-}
-
-// scanClass exactly minimises (aligned start, arrival) over bank b's
-// in-window requests of one class — the slow path pick falls back to when
-// its O(1) first-of-class shortcut cannot prove optimality.
-//
-//bear:hotpath
-func (m *Memory) scanClass(c *channel, p *pool, b int, limit int32, busFree, now uint64, wantHit bool) (start uint64, idx int32, seq uint64) {
-	q := &p.bq[b]
-	bk := &c.banks[b]
-	var missS uint64
-	if !wantHit {
-		missS = max64(m.missReady(c, bk, now), busFree)
-	}
-	idx = classNone
-	ents := q.ent[q.head : q.head+int(limit)]
-	for i := range ents {
-		e := &ents[i]
-		if (bk.hasOpen && bk.openRow == e.row) != wantHit {
-			continue
-		}
-		s := missS
-		if wantHit {
-			s = max64(max64(e.enq, bk.openAt)+m.cfg.TCAS, busFree)
-		}
-		if as := m.alignRefresh(s, e.bur); idx == classNone || as < start {
-			start, idx, seq = as, int32(i), e.seq
-		}
-	}
-	return start, idx, seq
+	return idx, start, rowHit
 }
 
 // missReady returns the earliest cycle a row-miss data burst to the bank
 // could begin, before bus serialisation and refresh alignment: the bank's
 // in-flight burst, tRAS since the last activate, precharge, the
-// four-activate window, then tRCD + tCAS. It is the same for every queued
-// miss of the bank — the property pick's first-of-class shortcut rests on.
+// four-activate window, then tRCD + tCAS.
 //
 //bear:hotpath
 func (m *Memory) missReady(c *channel, b *bank, now uint64) uint64 {
@@ -821,8 +448,9 @@ func (m *Memory) missReady(c *channel, b *bank, now uint64) uint64 {
 // Column accesses to an open row pipeline (consecutive row hits stream at
 // burst rate, each still paying tCAS of latency); row misses must wait for
 // the bank's in-flight burst, tRAS since the last activate, precharge and
-// activation. The incremental pick inlines these formulas; this whole-
-// request form serves the reference picker and the invariant checks.
+// activation.
+//
+//bear:hotpath
 func (m *Memory) burstStart(now uint64, c *channel, r *Request, busFree uint64) (start uint64, rowHit bool) {
 	b := &c.banks[r.Bank]
 	if b.hasOpen && b.openRow == r.Row {
@@ -845,10 +473,10 @@ func (m *Memory) burstStart(now uint64, c *channel, r *Request, busFree uint64) 
 // calls (reference picks, invariant checks) never change any result.
 //
 // The split matters: this wrapper stays under the inlining budget, so the
-// pick loop's dominant already-aligned case (inside the memoized period,
-// past its refresh window, burst fits) costs three compares and no call.
-// Starts below refBase+tRFC fall through even when refBase is 0 and no
-// push is due — alignSlow resolves that (rarely hit) case exactly.
+// dominant already-aligned case (inside the memoized period, past its
+// refresh window, burst fits) costs three compares and no call. Starts
+// below refBase+tRFC fall through even when refBase is 0 and no push is
+// due — alignSlow resolves that (rarely hit) case exactly.
 //
 //bear:hotpath
 func (m *Memory) alignRefresh(start, burst uint64) uint64 {
@@ -902,9 +530,6 @@ func (m *Memory) commit(now uint64, c *channel, r *Request, start uint64, rowHit
 		b.openAt = start - m.cfg.TCAS
 		c.acts[c.actPos] = b.lastAct
 		c.actPos = (c.actPos + 1) % len(c.acts)
-		// The open row changed: queued requests to this bank reclassify.
-		c.read.markStale(r.Bank)
-		c.write.markStale(r.Bank)
 		m.Stats.RowMisses++
 	} else {
 		m.Stats.RowHits++

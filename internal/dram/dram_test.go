@@ -402,11 +402,11 @@ func TestEnqueueCompleteAllocFree(t *testing.T) {
 	}
 }
 
-// TestManyBanksPerChannel exercises geometries past 64 banks per channel,
-// where the scheduler's bank-occupancy bitmask needs more than one word
-// (the Figure 15 sweep reaches 512). Every bank gets traffic, SelfCheck
-// holds each pick to the reference scan, and the invariant sweep diffs the
-// multi-word occupancy bits against the queues.
+// TestManyBanksPerChannel exercises wide geometries (the Figure 15 sweep
+// reaches 512 banks per channel), where the commit bound of one burst per
+// bank lets hundreds of requests hold bus windows at once. Every bank gets
+// traffic, SelfCheck holds each pick to the reference scan, and the
+// invariant sweep checks the commit bound and queue membership.
 func TestManyBanksPerChannel(t *testing.T) {
 	for _, banks := range []int{65, 128, 512} {
 		cfg := testCfg()

@@ -2,66 +2,39 @@ package dram
 
 import "bear/internal/fault"
 
-// This file holds the scheduler's semantic ground truth and the machinery
-// that holds the incremental pick to it.
+// This file holds the scheduler's semantic ground truth and the checks that
+// hold the live scheduler to it.
 //
-// refPick is the retired pre-incremental algorithm, kept verbatim in
-// spirit: walk the pool's scanLimit oldest requests in arrival order,
-// compute burstStart for each, and keep the first strict improvement
-// (earliest start, row-hit on ties). It is slow and obviously correct.
-//
-// Memory.SelfCheck routes every live pick through verifyPick, which
-// re-derives the decision with refPick and panics with a typed invariant
-// fault on any divergence — bank, queue position, start cycle or row-hit
-// bit. The watchdog's -check mode enables it, so every golden experiment
-// run doubles as an exhaustive differential test of the incremental
-// scheduler on real request streams. CheckInvariants additionally
-// cross-checks the memoized per-bank state (class positions, hit counts,
-// window accounting, the horizon-stall memo) against fresh recomputation
-// at every watchdog epoch.
+// refPick is pick without its prunes: price every one of the scanLimit
+// oldest requests with burstStart and keep the first strict improvement
+// (earliest start, row-hit on ties). Memory.SelfCheck routes every live
+// pick through verifyPick, which re-derives the decision with refPick and
+// panics with a typed invariant fault on any divergence — queue position,
+// start cycle or row-hit bit. The watchdog's -check mode enables it, so
+// every golden experiment run doubles as a differential test of the prunes
+// on real request streams.
 
-// refPick recomputes a pick the naive way: scan the pool's scanLimit
-// oldest requests in global arrival order (a k-way merge of the per-bank
-// FIFOs by seq) calling burstStart on each. Selection keeps the first
-// strict improvement, so ties resolve to the earliest arrival, and a
-// row hit displaces an equal-start row miss — the exact total order the
-// incremental pick minimises.
-func (m *Memory) refPick(now uint64, c *channel, p *pool) (bank int, idx int32, start uint64, rowHit bool) {
+// refPick recomputes a pick by pricing every candidate in the scan window.
+func (m *Memory) refPick(now uint64, c *channel, q *reqQ) (idx int, start uint64, rowHit bool) {
 	busFree := max64(c.busFreeAt, now)
-	cur := make([]int32, len(p.bq))
-	limit := p.size
-	if limit > scanLimit {
-		limit = scanLimit
-	}
-	bank = -1
-	for n := 0; n < limit; n++ {
-		sel := -1
-		var minSeq uint64
-		for b := range p.bq {
-			if w := int(cur[b]); w < p.bq[b].Len() {
-				if s := p.bq[b].At(w).seq; sel < 0 || s < minSeq {
-					sel, minSeq = b, s
-				}
-			}
+	idx = -1
+	for i := 0; i < q.Len() && i < scanLimit; i++ {
+		s, h := m.burstStart(now, c, q.At(i), busFree)
+		if idx < 0 || s < start || (s == start && h && !rowHit) {
+			idx, start, rowHit = i, s, h
 		}
-		r := p.bq[sel].At(int(cur[sel]))
-		s, h := m.burstStart(now, c, r, busFree)
-		if bank < 0 || s < start || (s == start && h && !rowHit) {
-			bank, idx, start, rowHit = sel, cur[sel], s, h
-		}
-		cur[sel]++
 	}
-	return bank, idx, start, rowHit
+	return idx, start, rowHit
 }
 
-// verifyPick asserts that the incremental pick matches the reference
-// algorithm on the same state.
-func (m *Memory) verifyPick(now uint64, c *channel, p *pool, bank int, idx int32, start uint64, rowHit bool) {
-	rb, ri, rs, rh := m.refPick(now, c, p)
-	if rb != bank || ri != idx || rs != start || rh != rowHit {
+// verifyPick asserts that the pruned pick matches the reference scan on the
+// same state.
+func (m *Memory) verifyPick(now uint64, c *channel, q *reqQ, idx int, start uint64, rowHit bool) {
+	ri, rs, rh := m.refPick(now, c, q)
+	if ri != idx || rs != start || rh != rowHit {
 		panic(fault.Invariantf("dram",
-			"%s: incremental pick (bank %d pos %d start %d hit %v) diverges from reference (bank %d pos %d start %d hit %v) at cycle %d",
-			m.Name, bank, idx, start, rowHit, rb, ri, rs, rh, now))
+			"%s: pick (pos %d start %d hit %v) diverges from reference (pos %d start %d hit %v) at cycle %d",
+			m.Name, idx, start, rowHit, ri, rs, rh, now))
 	}
 }
 
@@ -69,16 +42,13 @@ func (m *Memory) verifyPick(now uint64, c *channel, p *pool, bank int, idx int32
 // watchdog's -check mode:
 //
 //   - per-channel commit counts stay within the bank count (at most one
-//     reserved bus window per bank), and — when maxQueued > 0 — total
-//     request occupancy stays under maxQueued, which converts unbounded
-//     queue growth into a diagnosable error instead of memory exhaustion;
-//   - every queued request sits in the FIFO of its own channel, bank and
-//     pool, in strictly increasing arrival order;
-//   - the incremental per-bank memos (first row hit / first row miss /
-//     hit count, the occupancy bitmask, the pool sizes, and the scan-
-//     window accounting) agree with a fresh recomputation from the queue
-//     contents, so memo-staleness bugs surface as typed invariant faults
-//     instead of silent timing drift;
+//     reserved bus window per bank);
+//   - when maxQueued > 0, total request occupancy stays under maxQueued,
+//     which converts unbounded queue growth (a stuck scheduler that
+//     enqueues but never commits) into a diagnosable error instead of
+//     memory exhaustion;
+//   - every queued request sits in the queue of its own memory, channel
+//     and direction, addressing a bank of the geometry;
 //   - a live horizon-stall memo still reproduces from a reference pick at
 //     the cycle it was taken.
 func (m *Memory) CheckInvariants(maxQueued int) error {
@@ -88,16 +58,16 @@ func (m *Memory) CheckInvariants(maxQueued int) error {
 			return fault.Invariantf("dram", "%s: channel %d has %d committed requests (banks=%d)",
 				m.Name, i, c.committed, m.cfg.Banks)
 		}
-		if err := m.checkPool(i, c, &c.read, false); err != nil {
+		if err := m.checkQueue(i, &c.readQ, false); err != nil {
 			return err
 		}
-		if err := m.checkPool(i, c, &c.write, true); err != nil {
+		if err := m.checkQueue(i, &c.writeQ, true); err != nil {
 			return err
 		}
 		if err := m.checkStallMemo(i, c); err != nil {
 			return err
 		}
-		pending += c.read.size + c.write.size + c.committed
+		pending += c.readQ.Len() + c.writeQ.Len() + c.committed
 	}
 	if maxQueued > 0 && pending > maxQueued {
 		return fault.Invariantf("dram", "%s: %d requests in flight exceeds the occupancy bound %d",
@@ -106,128 +76,15 @@ func (m *Memory) CheckInvariants(maxQueued int) error {
 	return nil
 }
 
-// checkPool recomputes one pool's incremental scheduling state from its
-// queue contents and diffs it against the maintained memos.
-func (m *Memory) checkPool(ch int, c *channel, p *pool, isWrite bool) error {
-	name := "read"
-	if isWrite {
-		name = "write"
-	}
-	total, inWin := 0, 0
-	for b := range p.bq {
-		q := &p.bq[b]
-		n := q.Len()
-		total += n
-		if occupied := p.occ.has(b); occupied != (n > 0) {
-			return fault.Invariantf("dram", "%s: channel %d %s bank %d occupancy bit %v with %d queued",
-				m.Name, ch, name, b, occupied, n)
+// checkQueue verifies that every request in one of channel ch's queues
+// belongs there.
+func (m *Memory) checkQueue(ch int, q *reqQ, isWrite bool) error {
+	for i := 0; i < q.Len(); i++ {
+		r := q.At(i)
+		if r.m != m || r.Channel != ch || r.Write != isWrite || r.Bank < 0 || r.Bank >= m.cfg.Banks {
+			return fault.Invariantf("dram", "%s: channel %d write=%v queue holds request for channel %d bank %d write=%v at position %d",
+				m.Name, ch, isWrite, r.Channel, r.Bank, r.Write, i)
 		}
-		bk := &c.banks[b]
-		fh, fm, nh := int32(classNone), int32(classNone), int32(0)
-		var lastSeq uint64
-		for i := 0; i < n; i++ {
-			r := q.At(i)
-			if r.Channel != ch || r.Bank != b || r.Write != isWrite {
-				return fault.Invariantf("dram", "%s: channel %d %s bank %d holds request for channel %d bank %d write=%v",
-					m.Name, ch, name, b, r.Channel, r.Bank, r.Write)
-			}
-			if e := q.at(i); e.seq != r.seq || e.row != r.Row || e.enq != r.enqueued || e.bur != r.burst {
-				return fault.Invariantf("dram", "%s: channel %d %s bank %d entry mirror diverged at position %d",
-					m.Name, ch, name, b, i)
-			}
-			if i > 0 && r.seq <= lastSeq {
-				return fault.Invariantf("dram", "%s: channel %d %s bank %d arrival order broken at position %d",
-					m.Name, ch, name, b, i)
-			}
-			lastSeq = r.seq
-			if bk.hasOpen && bk.openRow == r.Row {
-				nh++
-				if fh == classNone {
-					fh = int32(i)
-				}
-			} else if fm == classNone {
-				fm = int32(i)
-			}
-		}
-		if p.firstHit[b] != classStale {
-			if p.firstHit[b] != fh || p.firstMiss[b] != fm || p.nHit[b] != nh {
-				return fault.Invariantf("dram", "%s: channel %d %s bank %d class memo (hit %d miss %d n %d) != fresh (hit %d miss %d n %d)",
-					m.Name, ch, name, b, p.firstHit[b], p.firstMiss[b], p.nHit[b], fh, fm, nh)
-			}
-		}
-		w := int(p.win[b])
-		if w < 0 || w > n {
-			return fault.Invariantf("dram", "%s: channel %d %s bank %d window count %d with %d queued",
-				m.Name, ch, name, b, w, n)
-		}
-		inWin += w
-	}
-	if total != p.size {
-		return fault.Invariantf("dram", "%s: channel %d %s pool size %d != %d queued",
-			m.Name, ch, name, p.size, total)
-	}
-	want := p.size
-	if want > scanLimit {
-		want = scanLimit
-	}
-	if inWin != want {
-		return fault.Invariantf("dram", "%s: channel %d %s window covers %d of %d requests (want %d)",
-			m.Name, ch, name, inWin, p.size, want)
-	}
-	// The window must hold exactly the pool's scanLimit oldest arrivals:
-	// every in-window seq below every excluded one.
-	var maxIn uint64
-	minEx := ^uint64(0)
-	for b := range p.bq {
-		q := &p.bq[b]
-		w := int(p.win[b])
-		if w > 0 && q.At(w-1).seq > maxIn {
-			maxIn = q.At(w - 1).seq
-		}
-		if w < q.Len() && q.At(w).seq < minEx {
-			minEx = q.At(w).seq
-		}
-	}
-	if maxIn >= minEx {
-		return fault.Invariantf("dram", "%s: channel %d %s window admits arrival %d over excluded %d",
-			m.Name, ch, name, maxIn, minEx)
-	}
-	// Every currently excluded request must still be reachable through the
-	// excluded ring, in arrival order — the promote path pops the ring
-	// front, so a missing or misordered entry would silently freeze a
-	// request outside the window. Dead ring entries (from earlier drains
-	// through the window boundary) are skipped, mirroring remove.
-	cur := make([]int32, len(p.bq))
-	for b := range p.bq {
-		cur[b] = p.win[b]
-	}
-	ri := p.ex.head
-	for {
-		sel := -1
-		var minSeq uint64
-		for b := range p.bq {
-			if w := int(cur[b]); w < p.bq[b].Len() {
-				if s := p.bq[b].At(w).seq; sel < 0 || s < minSeq {
-					sel, minSeq = b, s
-				}
-			}
-		}
-		if sel < 0 {
-			break
-		}
-		for ri < len(p.ex.seq) && p.ex.seq[ri] != minSeq {
-			ri++
-		}
-		if ri == len(p.ex.seq) {
-			return fault.Invariantf("dram", "%s: channel %d %s excluded arrival %d missing from the ring",
-				m.Name, ch, name, minSeq)
-		}
-		if int(p.ex.bank[ri]) != sel {
-			return fault.Invariantf("dram", "%s: channel %d %s ring entry for arrival %d names bank %d, not %d",
-				m.Name, ch, name, minSeq, p.ex.bank[ri], sel)
-		}
-		ri++
-		cur[sel]++
 	}
 	return nil
 }
@@ -236,31 +93,17 @@ func (m *Memory) checkPool(ch int, c *channel, p *pool, isWrite bool) error {
 // bank state and the bus cannot have changed since it was taken (those
 // paths clear it), so a reference pick at the memoized cycle must
 // reproduce the memoized best start. The write-drain hysteresis is applied
-// idempotently to recover which pool the stalled pick drew from.
+// idempotently to recover which queue the stalled pick drew from.
 func (m *Memory) checkStallMemo(ch int, c *channel) error {
 	if !c.stallValid {
 		return nil
 	}
-	drain := c.draining
-	if c.write.size >= m.cfg.WriteQHi {
-		drain = true
-	}
-	if c.write.size <= m.cfg.WriteQLo {
-		drain = false
-	}
-	var p *pool
-	switch {
-	case c.read.size > 0 && !drain:
-		p = &c.read
-	case c.write.size > 0:
-		p = &c.write
-	case c.read.size > 0:
-		p = &c.read
-	default:
+	q := c.source(m.drainMode(c))
+	if q == nil {
 		return fault.Invariantf("dram", "%s: channel %d holds a stall memo with empty queues",
 			m.Name, ch)
 	}
-	if _, _, start, _ := m.refPick(c.stallNow, c, p); start != c.stallStart {
+	if _, start, _ := m.refPick(c.stallNow, c, q); start != c.stallStart {
 		return fault.Invariantf("dram", "%s: channel %d stall memo start %d != reference %d at cycle %d",
 			m.Name, ch, c.stallStart, start, c.stallNow)
 	}

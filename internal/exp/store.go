@@ -229,8 +229,22 @@ func (st *Store) writeEntry(key string, raw []byte) error {
 		raw = mangled
 	}
 	final := st.path(key)
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	// Each write gets its own temporary file: concurrent saves of one key
+	// must not rename each other's half-written files into place.
+	f, err := os.CreateTemp(st.dir, filepath.Base(final)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(raw)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if faultpoint.Hit("store.rename", key) == faultpoint.KillWorker {

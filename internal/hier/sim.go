@@ -288,7 +288,8 @@ func (s *Sim) Run() (*stats.Run, error) {
 	wd := s.Watchdog.withDefaults(s.warm, s.meas)
 	if wd.Check {
 		// Every DRAM scheduling decision re-derives itself through the
-		// naive reference picker (dram/reference.go). Like the epoch
+		// unpruned reference scan (dram/reference.go), so the scheduler's
+		// prunes are checked on every pick of the run. Like the epoch
 		// checks, it observes without scheduling: results stay identical.
 		s.Bundle.MemDRAM.SelfCheck = true
 		if s.Bundle.L4DRAM != nil {

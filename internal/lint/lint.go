@@ -280,8 +280,25 @@ func importPath(module, root, dir string) (string, error) {
 	return module + "/" + filepath.ToSlash(rel), nil
 }
 
+// SkipDir reports whether a walk of the module tree rooted at root skips
+// the directory at path: testdata, VCS metadata, hidden and underscore
+// directories, and nested modules — any directory below root holding its
+// own go.mod, which `go list ./...` leaves out as well. The root itself is
+// never skipped.
+func SkipDir(root, path string) bool {
+	if path == root {
+		return false
+	}
+	name := filepath.Base(path)
+	if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		return true
+	}
+	_, err := os.Stat(filepath.Join(path, "go.mod"))
+	return err == nil
+}
+
 // FindPackageDirs walks root collecting directories that contain non-test
-// Go files, skipping testdata, VCS metadata and hidden/underscore dirs.
+// Go files, skipping the directories SkipDir names.
 func FindPackageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.Walk(root, func(path string, fi os.FileInfo, err error) error {
@@ -289,8 +306,7 @@ func FindPackageDirs(root string) ([]string, error) {
 			return err
 		}
 		if fi.IsDir() {
-			name := fi.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if SkipDir(root, path) {
 				return filepath.SkipDir
 			}
 			return nil

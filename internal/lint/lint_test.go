@@ -134,3 +134,54 @@ func TestSuppressionIsRuleScoped(t *testing.T) {
 		t.Error("line 11 has no suppression entry of its own in this fixture")
 	}
 }
+
+// TestFindPackageDirsStopsAtNestedModules pins the ./... scope to what
+// `go list ./...` covers: a subdirectory holding its own go.mod is a
+// separate module, so neither it nor anything below it is a package of the
+// module being linted.
+func TestFindPackageDirsStopsAtNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"root.go":             "package root\n",
+		"a/a.go":              "package a\n",
+		"a/a_test.go":         "package a\n",
+		"nested/go.mod":       "module nested\n",
+		"nested/n.go":         "package nested\n",
+		"nested/sub/s.go":     "package sub\n",
+		"a/testdata/fix.go":   "package fix\n",
+		"b/inner/go.mod":      "module inner\n",
+		"b/inner/i.go":        "package inner\n",
+		"b/b.go":              "package b\n",
+		"_skip/u.go":          "package skip\n",
+		".hidden/h.go":        "package hidden\n",
+		"c/only_test_test.go": "package c\n",
+		"nested2/go.mod":      "module nested2\n",
+		"nested2/deep/x/x.go": "package x\n",
+	}
+	for rel, body := range files {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, err := FindPackageDirs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{root, filepath.Join(root, "a"), filepath.Join(root, "b")}
+	if len(dirs) != len(want) {
+		t.Fatalf("FindPackageDirs = %q, want %q", dirs, want)
+	}
+	for i := range want {
+		if dirs[i] != want[i] {
+			t.Fatalf("FindPackageDirs = %q, want %q", dirs, want)
+		}
+	}
+	// A walk rooted inside a nested module still lints that module.
+	if SkipDir(filepath.Join(root, "nested"), filepath.Join(root, "nested")) {
+		t.Error("SkipDir skipped the walk's own root")
+	}
+}

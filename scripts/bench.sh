@@ -5,8 +5,8 @@
 # Successive snapshots (BENCH_1.json, BENCH_2.json, ...) record the perf
 # trajectory across PRs: each file carries per-design ns/instr and
 # allocs/instr for the steady-state hot path of every composition the
-# experiments run — NoL4, Alloy, BEAR, BW-Opt, LH, MC, Incl-Alloy, TIS and
-# SC (see simbench_test.go).
+# experiments run — the eleven designs NoL4, Alloy, BEAR, BW-Opt, LH, MC,
+# Incl-Alloy, TIS, SC, Banshee and TicToc (see simbench_test.go).
 #
 # Each benchmark runs COUNT times (default 5) and the snapshot keeps the
 # per-name minimum: on a shared box the minimum estimates the true cost —

@@ -46,6 +46,16 @@ go test -race -shuffle=on ./...
 # adding meaningful CI time; timed runs go through scripts/bench.sh.
 go test -run='^$' -bench=. -benchtime=1x ./...
 
+# fuzz smoke: plain `go test` only replays FuzzScheduler's seed corpus;
+# ten seconds of native fuzzing explores fresh request streams against the
+# reference scan. A crasher lands in internal/dram/testdata/fuzz — commit it.
+go test -run '^$' -fuzz FuzzScheduler -fuzztime 10s ./internal/dram
+
+# perfbench is its own module (perfbench/go.mod), so `./...` and simlint
+# stop at it. Vet and test it here so the benchmark's output checks keep
+# compiling against the simulator they measure.
+(cd perfbench && go vet . && go test .)
+
 # fault-injection smoke: re-run the robustness suite (panic isolation,
 # watchdog trips, -check epochs, store corruption/resume) under the race
 # detector by name. These all ran in the main gate above; naming them here
