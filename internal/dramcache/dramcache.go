@@ -58,7 +58,10 @@ type Cache interface {
 	// Install functionally pre-loads a clean line, consuming no bandwidth
 	// and no simulated time. Simulations use it to pre-warm the gigascale
 	// cache to steady-state residency before timing begins (the SimPoint
-	// functional-warming step of the paper's methodology).
+	// functional-warming step of the paper's methodology). hier.Sim
+	// streams every warm line through it, one call per line — 14.9 M
+	// calls for a 1 GB cache — so its cost is most of a paper-scale
+	// simulation's set-up. Sims without an L4 never call it.
 	Install(line uint64)
 	Stats() *stats.L4
 	// OutstandingTxns reports in-flight transactions; it must return zero

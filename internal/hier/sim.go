@@ -128,28 +128,31 @@ func NewSimQueue(cfg config.System, wl trace.Workload, warm, meas uint64, q *eve
 // prewarm functionally installs each workload's steady-state residency into
 // the L4 before any timed instruction executes. Cores interleave so that
 // conflict evictions in the direct-mapped designs are shared fairly, as they
-// would be in steady state.
+// would be in steady state. Lines stream from each source's Prewarmer
+// straight into Install: at paper scale the warm set is millions of lines
+// per core, too many to stage in lists first.
 func (s *Sim) prewarm() {
+	if s.Bundle.L4DRAM == nil {
+		return // NoL4: there is no cache to warm
+	}
 	cores := len(s.Workload.Sources)
 	fair := uint64(s.Cfg.CacheBytes) / config.TADBytes / uint64(cores)
-	lists := make([][]uint64, cores)
+	warm := make([]trace.Prewarmer, cores)
+	lens := make([]uint64, cores)
+	longest := uint64(0)
 	for i, src := range s.Workload.Sources {
 		p, ok := src.(trace.Prewarmer)
 		if !ok {
 			continue
 		}
-		p.Prewarm(fair, func(line uint64) { lists[i] = append(lists[i], line) })
+		warm[i], lens[i] = p, p.PrewarmLen(fair)
+		longest = max(longest, lens[i])
 	}
-	for pos := 0; ; pos++ {
-		any := false
-		for i := range lists {
-			if pos < len(lists[i]) {
-				s.Bundle.Cache.Install(lists[i][pos])
-				any = true
+	for pos := uint64(0); pos < longest; pos++ {
+		for i, p := range warm {
+			if pos < lens[i] {
+				s.Bundle.Cache.Install(p.PrewarmLine(pos))
 			}
-		}
-		if !any {
-			return
 		}
 	}
 }

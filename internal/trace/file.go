@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -22,6 +23,11 @@ import (
 // long simulation (the wrap models a program's outer loop).
 
 const fileMagic = "BEARTRC1"
+
+// maxLine bounds line addresses: a line is a 64-bit byte address >> 6, so
+// every real line lies below 2^58. The bound also keeps sram's all-ones
+// empty-way sentinel out of the tag arrays.
+const maxLine = 1 << 58
 
 // WriteTrace records n ops from src to w.
 func WriteTrace(w io.Writer, src Source, n uint64) error {
@@ -105,18 +111,27 @@ func ReadTrace(r io.Reader) (*FileTrace, error) {
 	if n == 0 || n > maxOps {
 		return nil, fmt.Errorf("trace: implausible op count %d", n)
 	}
-	f := &FileTrace{ops: make([]Op, 0, n)}
+	// The header is only a claim: reserve a bounded prefix and let append
+	// grow as ops actually arrive, so a short file cannot demand gigabytes.
+	const maxPrealloc = 1 << 16
+	f := &FileTrace{ops: make([]Op, 0, min(n, maxPrealloc))}
 	prevLine := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		nonMem, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: op %d nonMem: %w", i, err)
 		}
+		if nonMem > math.MaxUint32 {
+			return nil, fmt.Errorf("trace: op %d nonMem %d overflows uint32", i, nonMem)
+		}
 		delta, err := binary.ReadVarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: op %d line delta: %w", i, err)
 		}
 		line := uint64(int64(prevLine) + delta)
+		if line >= maxLine {
+			return nil, fmt.Errorf("trace: op %d line %#x is not a line address", i, line)
+		}
 		prevLine = line
 		pc, err := binary.ReadUvarint(br)
 		if err != nil {

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -44,7 +47,9 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 func TestTraceRoundTripProperty(t *testing.T) {
-	// Arbitrary op sequences survive the encoding.
+	// Arbitrary op sequences over valid line addresses survive the
+	// encoding; an odd seed plants one line at or above 2^58, which the
+	// reader must reject.
 	if err := quick.Check(func(raw []uint32, seed uint64) bool {
 		if len(raw) == 0 {
 			return true
@@ -53,18 +58,22 @@ func TestTraceRoundTripProperty(t *testing.T) {
 		for i, v := range raw {
 			src.ops = append(src.ops, Op{
 				NonMem: v % 1000,
-				Line:   uint64(v) * 2654435761,
+				Line:   uint64(v) * 2654435761 % maxLine,
 				PC:     uint64(v % 4096),
 				Store:  i%3 == 0,
 			})
+		}
+		bad := seed&1 == 1
+		if bad {
+			src.ops[seed%uint64(len(raw))].Line = maxLine | seed>>6
 		}
 		var buf bytes.Buffer
 		if err := WriteTrace(&buf, src, uint64(len(raw))); err != nil {
 			return false
 		}
 		ft, err := ReadTrace(&buf)
-		if err != nil {
-			return false
+		if bad || err != nil {
+			return bad && err != nil
 		}
 		for i := range raw {
 			var op Op
@@ -96,6 +105,63 @@ func TestTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader([]byte("BEARTRC1"))); err == nil {
 		t.Fatal("truncated header accepted")
 	}
+	// A header claiming the maximum 2^28 ops over an empty body must fail
+	// on the missing first op, not reserve gigabytes for ops never read.
+	if _, err := ReadTrace(bytes.NewReader([]byte("BEARTRC1\x80\x80\x80\x80\x01"))); err == nil {
+		t.Fatal("op count beyond the body accepted")
+	}
+	one := func(nonMem uint64, line int64) []byte {
+		b := append([]byte(fileMagic), 1)
+		b = binary.AppendUvarint(b, nonMem)
+		b = binary.AppendVarint(b, line)
+		return append(b, 0, 0) // pc 0, flags 0
+	}
+	if _, err := ReadTrace(bytes.NewReader(one(math.MaxUint32, 1))); err != nil {
+		t.Fatalf("valid op rejected: %v", err)
+	}
+	if _, err := ReadTrace(bytes.NewReader(one(math.MaxUint32+1, 1))); err == nil {
+		t.Fatal("nonMem above uint32 accepted")
+	}
+	if _, err := ReadTrace(bytes.NewReader(one(0, -1))); err == nil {
+		t.Fatal("line 2^64-1 (the sram empty-way sentinel) accepted")
+	}
+	if _, err := ReadTrace(bytes.NewReader(one(0, maxLine))); err == nil {
+		t.Fatal("line 2^58 accepted")
+	}
+	if _, err := ReadTrace(bytes.NewReader(one(0, maxLine-1))); err != nil {
+		t.Fatalf("line 2^58-1 rejected: %v", err)
+	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to the trace reader: it must return
+// an error or a trace, never panic or exhaust memory, and any trace it
+// accepts must survive a WriteTrace/ReadTrace round trip unchanged. The
+// seed corpus is a generator recording plus the regression inputs under
+// testdata/fuzz/FuzzReadTrace.
+func FuzzReadTrace(f *testing.F) {
+	b, _ := ByName("soplex")
+	var seed bytes.Buffer
+	if err := WriteTrace(&seed, NewGen(b, 0, 64, 7), 64); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ft, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteTrace(&out, ft, uint64(ft.Ops())); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTrace(&out)
+		if err != nil {
+			t.Fatalf("re-reading an accepted trace: %v", err)
+		}
+		if !slices.Equal(ft.ops, again.ops) {
+			t.Fatal("round trip changed the ops")
+		}
+	})
 }
 
 func TestTraceFileIO(t *testing.T) {

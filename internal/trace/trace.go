@@ -41,9 +41,16 @@ type Source interface {
 }
 
 // Prewarmer is implemented by sources that can enumerate their steady-state
-// cache residency for functional warming.
+// cache residency for functional warming. The residency is an indexed
+// sequence rather than a visitor, so the simulator streams it straight into
+// the L4 — interleaving cores line by line — without materialising it.
 type Prewarmer interface {
-	Prewarm(limit uint64, visit func(line uint64))
+	// PrewarmLen is the number of warm lines, capped at limit.
+	PrewarmLen(limit uint64) uint64
+	// PrewarmLine returns warm line i, for i below PrewarmLen. Lines are
+	// ordered by priority: a prefix of the sequence is the best warm set of
+	// that size.
+	PrewarmLine(i uint64) uint64
 }
 
 // Benchmark describes one synthetic SPEC-like program. MPKI and FootprintMB
@@ -187,25 +194,27 @@ func NewGen(b Benchmark, core int, scale int, seed uint64) *Gen {
 // Bench returns the benchmark this generator models.
 func (g *Gen) Bench() Benchmark { return g.b }
 
-// Prewarm visits up to limit lines representing the benchmark's
-// steady-state DRAM-cache residency: the hot set first (its reuse keeps it
-// resident), then the leading footprint. The simulator installs these lines
-// functionally before timing starts, standing in for the SimPoint
-// functional-warming the paper's 1B-instruction runs perform implicitly.
-func (g *Gen) Prewarm(limit uint64, visit func(line uint64)) {
-	n := uint64(0)
-	for i := uint64(0); i < g.hotLines && n < limit; i++ {
-		visit(g.hotBase + i)
-		n++
+// PrewarmLen and PrewarmLine enumerate the benchmark's steady-state
+// DRAM-cache residency: the hot set first (its reuse keeps it resident),
+// then the rest of the footprint in address order with the hot range
+// skipped. The simulator installs a prefix of these lines functionally
+// before timing starts, standing in for the SimPoint functional-warming the
+// paper's 1B-instruction runs perform implicitly.
+//
+// The hot set lies inside the footprint, so the sequence holds exactly
+// footLines distinct lines.
+func (g *Gen) PrewarmLen(limit uint64) uint64 { return min(limit, g.footLines) }
+
+// PrewarmLine implements Prewarmer in O(1).
+func (g *Gen) PrewarmLine(i uint64) uint64 {
+	if i < g.hotLines {
+		return g.hotBase + i
 	}
-	for i := uint64(0); i < g.footLines && n < limit; i++ {
-		line := g.base + i
-		if line >= g.hotBase && line < g.hotBase+g.hotLines {
-			continue
-		}
-		visit(line)
-		n++
+	i -= g.hotLines
+	if lead := g.hotBase - g.base; i >= lead {
+		i += g.hotLines // step over the hot range
 	}
+	return g.base + i
 }
 
 // FootprintLines returns the scaled per-core footprint in lines.

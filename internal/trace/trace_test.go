@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
+
+	"bear/internal/config"
 )
 
 func TestCatalogSane(t *testing.T) {
@@ -219,44 +221,89 @@ func TestFootprintScaling(t *testing.T) {
 	}
 }
 
-func TestPrewarm(t *testing.T) {
-	b, _ := ByName("Gems")
-	g := NewGen(b, 1, 64, 1)
-	var lines []uint64
-	g.Prewarm(5000, func(l uint64) { lines = append(lines, l) })
-	if uint64(len(lines)) > 5000 {
-		t.Fatalf("prewarm exceeded limit: %d", len(lines))
+// refPrewarm is the warm-set enumeration written as a plain loop over the
+// hot set and then the footprint: the reference PrewarmLen and PrewarmLine
+// must reproduce line for line.
+func refPrewarm(g *Gen, limit uint64, visit func(line uint64)) {
+	n := uint64(0)
+	for i := uint64(0); i < g.hotLines && n < limit; i++ {
+		visit(g.hotBase + i)
+		n++
 	}
-	seen := map[uint64]bool{}
-	for _, l := range lines {
-		if l < g.base || l >= g.base+g.footLines {
-			t.Fatalf("prewarm line %d outside footprint", l)
+	for i := uint64(0); i < g.footLines && n < limit; i++ {
+		line := g.base + i
+		if line >= g.hotBase && line < g.hotBase+g.hotLines {
+			continue
 		}
-		if seen[l] {
-			t.Fatalf("prewarm visited %d twice", l)
-		}
-		seen[l] = true
-	}
-	// Hot set comes first.
-	if g.hotLines > 0 && lines[0] != g.hotBase {
-		t.Errorf("prewarm did not start with the hot set")
+		visit(line)
+		n++
 	}
 }
 
-func TestPrewarmProperty(t *testing.T) {
-	b, _ := ByName("bzip2")
-	if err := quick.Check(func(limit uint16) bool {
-		g := NewGen(b, 0, 64, 2)
-		count := uint64(0)
-		g.Prewarm(uint64(limit), func(uint64) { count++ })
-		want := uint64(limit)
-		if max := g.footLines; want > max {
-			want = max
+// forEachPrewarmCase runs check over every catalog benchmark at scales from
+// paper size (1) to the footprint floor (1<<30), each at limits 0, 1, 5000,
+// the simulator's fair share per core, and one above the footprint.
+func forEachPrewarmCase(t *testing.T, check func(t *testing.T, g *Gen, limit uint64)) {
+	t.Helper()
+	for _, b := range Catalog {
+		for _, scale := range []int{1, 64, 256, 1 << 30} {
+			cfg := config.Default(scale)
+			g := NewGen(b, 3, scale, 1)
+			fair := uint64(cfg.CacheBytes) / config.TADBytes / uint64(cfg.Core.Count)
+			for _, limit := range []uint64{0, 1, 5000, fair, g.footLines + 1} {
+				t.Run(fmt.Sprintf("%s/scale=%d/limit=%d", b.Name, scale, limit), func(t *testing.T) {
+					check(t, g, limit)
+				})
+			}
 		}
-		return count == want
-	}, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
+}
+
+// TestPrewarm pins the indexed enumeration to refPrewarm: same count, same
+// lines, same order.
+func TestPrewarm(t *testing.T) {
+	forEachPrewarmCase(t, func(t *testing.T, g *Gen, limit uint64) {
+		n := g.PrewarmLen(limit)
+		i := uint64(0)
+		refPrewarm(g, limit, func(line uint64) {
+			if i < n {
+				if got := g.PrewarmLine(i); got != line {
+					t.Fatalf("PrewarmLine(%d) = %d, reference visits %d", i, got, line)
+				}
+			}
+			i++
+		})
+		if i != n {
+			t.Fatalf("PrewarmLen = %d, reference visits %d lines", n, i)
+		}
+	})
+}
+
+// TestPrewarmProperty checks the warm set's contract directly: its size is
+// min(limit, footprint), every line lies in the footprint, none repeats,
+// and the hot set comes first.
+func TestPrewarmProperty(t *testing.T) {
+	forEachPrewarmCase(t, func(t *testing.T, g *Gen, limit uint64) {
+		n := g.PrewarmLen(limit)
+		if want := min(limit, g.footLines); n != want {
+			t.Fatalf("PrewarmLen = %d, want %d", n, want)
+		}
+		seen := make([]uint64, (g.footLines+63)/64)
+		for i := uint64(0); i < n; i++ {
+			line := g.PrewarmLine(i)
+			if line < g.base || line >= g.base+g.footLines {
+				t.Fatalf("PrewarmLine(%d) = %d outside footprint", i, line)
+			}
+			off := line - g.base
+			if seen[off/64]&(1<<(off%64)) != 0 {
+				t.Fatalf("PrewarmLine(%d) = %d repeats", i, line)
+			}
+			seen[off/64] |= 1 << (off % 64)
+			if i < g.hotLines && line != g.hotBase+i {
+				t.Fatalf("PrewarmLine(%d) = %d, want hot line %d first", i, line, g.hotBase+i)
+			}
+		}
+	})
 }
 
 func TestRateNames(t *testing.T) {

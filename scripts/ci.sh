@@ -50,6 +50,10 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # ten seconds of native fuzzing explores fresh request streams against the
 # reference scan. A crasher lands in internal/dram/testdata/fuzz — commit it.
 go test -run '^$' -fuzz FuzzScheduler -fuzztime 10s ./internal/dram
+# The same for the trace-file reader behind bearsim -trace and beartrace:
+# arbitrary bytes must parse or fail cleanly, and accepted traces must
+# round-trip. Crashers land in internal/trace/testdata/fuzz.
+go test -run '^$' -fuzz FuzzReadTrace -fuzztime 10s ./internal/trace
 
 # perfbench is its own module (perfbench/go.mod), so `./...` and simlint
 # stop at it. Vet and test it here so the benchmark's output checks keep

@@ -106,3 +106,29 @@ func BenchmarkSimBanshee(b *testing.B) { benchSim(b, config.Banshee) }
 // BenchmarkSimTicToc measures the page-grained TicToc design (demand-line
 // fills into page frames, tag-cache-resolved tag checks).
 func BenchmarkSimTicToc(b *testing.B) { benchSim(b, config.TicToc) }
+
+// BenchmarkNewSimPaper times hier.NewSim at paper scale (1 GB L4) for every
+// design: tag-array allocation plus the functional prewarm that installs
+// each core's steady-state residency. It reports B/op, the construction
+// footprint. The name avoids the BenchmarkSim prefix on purpose: those rows
+// are ns/instr rows for scripts/bench.sh.
+func BenchmarkNewSimPaper(b *testing.B) {
+	const scale = 1
+	for d := config.NoL4; d <= config.TicToc; d++ {
+		b.Run(d.String(), func(b *testing.B) {
+			sys := config.Default(scale).WithDesign(d)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				wl, err := trace.Rate("xalanc", sys.Core.Count, scale, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := hier.NewSim(sys, wl, 1, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
