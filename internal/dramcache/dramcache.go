@@ -35,7 +35,8 @@ type ReadResult struct {
 type Hooks struct {
 	// OnEvict fires when a line leaves the DRAM cache; the hierarchy
 	// clears the line's DCP bit (the paper's "conveyed like inclusive
-	// flow, but updates the bit instead of invalidating").
+	// flow, but updates the bit instead of invalidating"). It is nil when
+	// the design runs without DCP, since no other code reads that bit.
 	OnEvict func(line uint64)
 	// OnBackInvalidate fires for inclusive designs when a line leaves the
 	// DRAM cache; the hierarchy must invalidate every on-chip copy and

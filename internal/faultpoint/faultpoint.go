@@ -27,6 +27,10 @@
 //	kind@site/key        fire on the 1st hit for that exact key
 //	kind@site/key#2      fire on the 2nd hit for that exact key
 //
+// kind must be one of the Kind constants below. Keys may contain '#': the
+// last '#' always starts the occurrence, so String writes "#1" out
+// whenever leaving it implicit would be misread.
+//
 // Keyless entries count hits process-wide and are deterministic only for
 // serial sites; keyed entries are deterministic under any concurrency.
 // Sites whose occurrence index is externally meaningful (a retry attempt
@@ -37,11 +41,13 @@ package faultpoint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 )
 
 // Kind identifies what fault a site should inject.
@@ -65,6 +71,10 @@ const (
 	// SchedDrop: the scheduler loses a dispatched unit (it must retry).
 	SchedDrop Kind = "sched-drop"
 )
+
+// kinds is the fault vocabulary in declaration order; ParsePlan accepts
+// only these, so a misspelt kind fails loudly instead of never firing.
+var kinds = []Kind{TornWrite, CorruptChecksum, ENOSPC, KillWorker, Hang, GarbageStdout, SchedDrop}
 
 // None is returned by Hit when no fault fires.
 const None Kind = ""
@@ -98,7 +108,9 @@ func (e entry) String() string {
 	if e.key != "" {
 		s += "/" + e.key
 	}
-	if e.n != 1 {
+	// ParsePlan trims each entry and reads the last '#' as the occurrence,
+	// so "#1" may stay implicit only when neither could misread the tail.
+	if e.n != 1 || strings.Contains(s, "#") || strings.TrimRightFunc(s, unicode.IsSpace) != s {
 		s += "#" + strconv.Itoa(e.n)
 	}
 	return s
@@ -123,6 +135,9 @@ func ParsePlan(spec string) (*Plan, error) {
 			return nil, fmt.Errorf("faultpoint: entry %q: want kind@site[/key][#n]", raw)
 		}
 		e := entry{kind: Kind(kindStr), n: 1}
+		if !slices.Contains(kinds, e.kind) {
+			return nil, fmt.Errorf("faultpoint: entry %q: unknown kind %q (have %v)", raw, kindStr, kinds)
+		}
 		if i := strings.LastIndex(rest, "#"); i >= 0 {
 			n, err := strconv.Atoi(rest[i+1:])
 			if err != nil || n < 1 {

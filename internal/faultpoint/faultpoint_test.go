@@ -1,6 +1,8 @@
 package faultpoint
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -27,11 +29,66 @@ func TestParseRoundTrip(t *testing.T) {
 	if got := p.String(); got != spec {
 		t.Fatalf("round trip: %q != %q", got, spec)
 	}
-	for _, bad := range []string{"tornwrite", "@site", "kind@", "k@s#0", "k@s#x"} {
+	for _, bad := range []string{"tornwrite", "@site", "hang@", "hang@s#0", "hang@s#x", "k@s"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Fatalf("ParsePlan(%q) accepted", bad)
 		}
 	}
+	if _, err := ParsePlan("hnag@worker.run"); err == nil || !strings.Contains(err.Error(), "kill-worker") {
+		t.Fatalf("unknown kind error %v does not list the valid kinds", err)
+	}
+}
+
+// A key may contain '#' or end in a space, and occurrence 1 is then
+// written out: without it the parser would read the key's own '#' as the
+// occurrence, or trim the space.
+func TestParseRoundTripExplicitOccurrence(t *testing.T) {
+	for spec, want := range map[string]string{
+		"hang@worker.run/a#b#1": "hang@worker.run/a#b#1",
+		"hang@worker.run/a#b#2": "hang@worker.run/a#b#2",
+		"hang@s/k #1":           "hang@s/k #1",
+		"hang@s/k#1":            "hang@s/k",
+	} {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q): %v", spec, err)
+		}
+		if got := p.String(); got != want {
+			t.Fatalf("ParsePlan(%q).String() = %q, want %q", spec, got, want)
+		}
+		q, err := ParsePlan(p.String())
+		if err != nil || !reflect.DeepEqual(p, q) {
+			t.Fatalf("%q does not re-parse to the same plan: %v, %v", p.String(), q, err)
+		}
+	}
+}
+
+// FuzzParsePlan: the parser never panics, and every plan it accepts
+// re-parses from its String form to an equal plan.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"torn-write@store.save/Alloy:mcf;kill-worker@worker.run/BEAR:lbm#2;enospc@store.save#3",
+		"hang@worker.run/a#b#1",
+		"sched-drop@serve.dispatch",
+		"garbage-stdout@worker.reply/k/with/slashes#4; corrupt-checksum@store.save",
+		"hnag@worker.run",
+		";;",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		q, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q).String() = %q does not re-parse: %v", spec, p.String(), err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("ParsePlan(%q) = %v, but its String %q re-parses to %v", spec, p.entries, p.String(), q.entries)
+		}
+	})
 }
 
 func TestKeyedEntryFiresOnExactCoordinate(t *testing.T) {

@@ -137,12 +137,17 @@ func New(cfg config.System, q *event.Queue, cores int) *Hierarchy {
 // AttachL4 connects the DRAM-cache design.
 func (h *Hierarchy) AttachL4(l4 dramcache.Cache) { h.l4 = l4 }
 
-// Hooks returns the dramcache upcalls bound to this hierarchy.
+// Hooks returns the dramcache upcalls bound to this hierarchy. OnEvict is
+// wired only under DCP: it maintains the presence bits that routeL3Victim
+// reads, and nothing else reads them, so without DCP each notice would
+// sweep every on-chip level for nothing (17 set sweeps with 8 cores, once
+// per valid line of an evicted page).
 func (h *Hierarchy) Hooks() dramcache.Hooks {
-	return dramcache.Hooks{
-		OnEvict:          h.onL4Evict,
-		OnBackInvalidate: h.onBackInvalidate,
+	hooks := dramcache.Hooks{OnBackInvalidate: h.onBackInvalidate}
+	if h.cfg.UseDCP {
+		hooks.OnEvict = h.onL4Evict
 	}
+	return hooks
 }
 
 // L3 exposes the shared cache (tests and invariant checks).
@@ -297,11 +302,7 @@ func (h *Hierarchy) routeL3Victim(now uint64, coreID int, ev sram.Eviction) {
 	h.Counters.L3Writebacks++
 	pres := core.PresUnknown
 	if h.cfg.UseDCP && ev.Aux&auxKnown != 0 {
-		if ev.Aux&auxPresent != 0 {
-			pres = core.PresPresent
-		} else {
-			pres = core.PresAbsent
-		}
+		pres = core.PresenceFromAux(ev.Aux)
 	}
 	h.l4.Writeback(now, coreID, ev.Addr, pres)
 }

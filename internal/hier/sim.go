@@ -100,6 +100,13 @@ func NewSim(cfg config.System, wl trace.Workload, warm, meas uint64) (*Sim, erro
 // pooled queue so its grown backing array is reused instead of reallocated
 // per simulation.
 func NewSimQueue(cfg config.System, wl trace.Workload, warm, meas uint64, q *event.Queue) (*Sim, error) {
+	return newSim(cfg, wl, warm, meas, q, (*Hierarchy).Hooks)
+}
+
+// newSim is NewSimQueue with the dramcache upcalls taken from hooks, so
+// tests can wire, wrap or count them.
+func newSim(cfg config.System, wl trace.Workload, warm, meas uint64, q *event.Queue,
+	hooks func(*Hierarchy) dramcache.Hooks) (*Sim, error) {
 	if len(wl.Sources) == 0 {
 		return nil, fmt.Errorf("hier: workload %q has no sources", wl.Name)
 	}
@@ -107,7 +114,7 @@ func NewSimQueue(cfg config.System, wl trace.Workload, warm, meas uint64, q *eve
 	s := &Sim{Cfg: cfg, Workload: wl, Q: q, warm: warm, meas: meas}
 	cores := len(wl.Sources)
 	s.Hier = New(cfg, s.Q, cores)
-	bundle, err := dramcache.Build(cfg, s.Q, s.Hier.Hooks())
+	bundle, err := dramcache.Build(cfg, s.Q, hooks(s.Hier))
 	if err != nil {
 		return nil, err
 	}

@@ -54,6 +54,10 @@ go test -run '^$' -fuzz FuzzScheduler -fuzztime 10s ./internal/dram
 # arbitrary bytes must parse or fail cleanly, and accepted traces must
 # round-trip. Crashers land in internal/trace/testdata/fuzz.
 go test -run '^$' -fuzz FuzzReadTrace -fuzztime 10s ./internal/trace
+# And for the fault-plan parser: bearserve forwards Plan.String() to its
+# workers, so every accepted plan must re-parse to itself. Crashers land in
+# internal/faultpoint/testdata/fuzz.
+go test -run '^$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/faultpoint
 
 # perfbench is its own module (perfbench/go.mod), so `./...` and simlint
 # stop at it. Vet and test it here so the benchmark's output checks keep
