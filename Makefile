@@ -45,7 +45,8 @@ bench-snapshot:
 	scripts/bench.sh
 
 # bench-compare diffs the two newest BENCH_<n>.json snapshots (ns/instr and
-# allocs/instr per benchmark); it exits non-zero on a >5% ns/instr
+# allocs/instr per benchmark, set-up ms/op and MB/op per design) and prints
+# the newer one's paired rows, if any; it exits non-zero on a >5% ns/instr
 # regression.
 bench-compare:
 	scripts/bench_compare.sh

@@ -1,6 +1,8 @@
 package dramcache
 
 import (
+	"math/bits"
+
 	"bear/internal/config"
 	"bear/internal/core"
 	"bear/internal/dram"
@@ -55,33 +57,52 @@ type Alloy = Controller
 type tadTags struct {
 	c *Controller
 
-	sets       uint64
+	sets       setIndex
 	setsPerRow uint64
 	channels   uint64
 	banks      uint64
 
-	tag   []uint64
-	valid []uint64 // bitset
-	dirty []uint64 // bitset
+	// tad holds one word per set: (line+1) | tadDirty for a resident line,
+	// zero for an empty set. Line addresses lie below 2^58 (a 64-bit byte
+	// address >> 6), so line+1 never reaches the dirty bit.
+	tad []uint64
 
 	inclusive bool
 }
 
-func (t *tadTags) isValid(set uint64) bool { return t.valid[set/64]&(1<<(set%64)) != 0 }
-func (t *tadTags) isDirty(set uint64) bool { return t.dirty[set/64]&(1<<(set%64)) != 0 }
-func (t *tadTags) setValid(set uint64, v bool) {
-	if v {
-		t.valid[set/64] |= 1 << (set % 64)
-	} else {
-		t.valid[set/64] &^= 1 << (set % 64)
+// tadDirty is a TAD word's dirty bit.
+const tadDirty = 1 << 63
+
+// tadLine decodes a TAD word into its resident line and state. An empty
+// set decodes as line 0, the tag an empty set has always reported to the
+// NTC and TTC.
+func tadLine(w uint64) (line uint64, valid, dirty bool) {
+	if w == 0 {
+		return 0, false, false
 	}
+	return w&^tadDirty - 1, true, w&tadDirty != 0
 }
-func (t *tadTags) setDirty(set uint64, v bool) {
-	if v {
-		t.dirty[set/64] |= 1 << (set % 64)
-	} else {
-		t.dirty[set/64] &^= 1 << (set % 64)
+
+// setIndex computes line % sets without a divide: with m = ceil(2^64/sets),
+// the high word of line*m is line/sets or one more, and a negative
+// remainder (as a signed value) undoes the overshoot. For sets == 1 the
+// reciprocal overflows to 0, and every line maps to set 0.
+type setIndex struct{ n, m uint64 }
+
+func newSetIndex(sets uint64) setIndex {
+	return setIndex{n: sets, m: ^uint64(0)/sets + 1}
+}
+
+func (s setIndex) of(line uint64) uint64 {
+	if s.m == 0 {
+		return 0
 	}
+	q, _ := bits.Mul64(line, s.m)
+	r := line - q*s.n
+	if int64(r) < 0 {
+		r += s.n
+	}
+	return r
 }
 
 // locate maps a set to its DRAM coordinates. Consecutive sets share a row;
@@ -97,9 +118,9 @@ func (t *tadTags) locate(set uint64) (Location, int) {
 
 // Lookup implements TagStore.
 func (t *tadTags) Lookup(_ uint64, line uint64) Probe {
-	set := line % t.sets
+	set := t.sets.of(line)
 	loc, _ := t.locate(set)
-	return Probe{Hit: t.isValid(set) && t.tag[set] == line, Loc: loc, Set: set, Block: line}
+	return Probe{Hit: t.tad[set]&^tadDirty == line+1, Loc: loc, Set: set, Block: line}
 }
 
 // Touch implements TagStore (direct-mapped: no replacement state).
@@ -108,13 +129,11 @@ func (t *tadTags) Touch(uint64) {}
 // Fill implements TagStore: evict (back-invalidating under inclusion),
 // install clean.
 func (t *tadTags) Fill(_ uint64, line, _ uint64, _ bool) FillResult {
-	set := line % t.sets
+	set := t.sets.of(line)
 	loc, _ := t.locate(set)
 	fr := FillResult{Loc: loc}
-	if t.isValid(set) {
-		fr.VictimLine = t.tag[set]
-		fr.VictimValid = true
-		fr.VictimDirty = t.isDirty(set)
+	fr.VictimLine, fr.VictimValid, fr.VictimDirty = tadLine(t.tad[set])
+	if fr.VictimValid {
 		if t.inclusive {
 			if h := t.c.hooks.OnBackInvalidate; h != nil && h(fr.VictimLine) {
 				fr.VictimDirty = true // on-chip copy was dirty; forward it
@@ -123,46 +142,39 @@ func (t *tadTags) Fill(_ uint64, line, _ uint64, _ bool) FillResult {
 			h(fr.VictimLine)
 		}
 	}
-	t.tag[set] = line
-	t.setValid(set, true)
-	t.setDirty(set, false)
+	t.tad[set] = line + 1
 	return fr
 }
 
-// WritebackHit implements TagStore.
-func (t *tadTags) WritebackHit(line uint64) { t.setDirty(line%t.sets, true) }
+// WritebackHit implements TagStore. The engine calls it only on a hit, so
+// the set's word is never empty.
+func (t *tadTags) WritebackHit(line uint64) { t.tad[t.sets.of(line)] |= tadDirty }
 
 // WritebackFill implements TagStore: evict, install dirty.
 func (t *tadTags) WritebackFill(_ uint64, line uint64) FillResult {
-	set := line % t.sets
+	set := t.sets.of(line)
 	loc, _ := t.locate(set)
 	fr := FillResult{Loc: loc}
-	if t.isValid(set) {
-		fr.VictimLine = t.tag[set]
-		fr.VictimValid = true
-		fr.VictimDirty = t.isDirty(set)
+	fr.VictimLine, fr.VictimValid, fr.VictimDirty = tadLine(t.tad[set])
+	if fr.VictimValid {
 		if h := t.c.hooks.OnEvict; h != nil {
 			h(fr.VictimLine)
 		}
 	}
-	t.tag[set] = line
-	t.setValid(set, true)
-	t.setDirty(set, true)
+	t.tad[set] = (line + 1) | tadDirty
 	return fr
 }
 
 // Contains implements TagStore.
 func (t *tadTags) Contains(line uint64) bool {
-	set := line % t.sets
-	return t.isValid(set) && t.tag[set] == line
+	return t.tad[t.sets.of(line)]&^tadDirty == line+1
 }
 
 // Install implements TagStore.
-func (t *tadTags) Install(line uint64) {
-	set := line % t.sets
-	t.tag[set] = line
-	t.setValid(set, true)
-	t.setDirty(set, false)
+func (t *tadTags) Install(lines ...uint64) {
+	for _, line := range lines {
+		t.tad[t.sets.of(line)] = line + 1
+	}
 }
 
 // ntcFilter is the NTC/TTC ProbeFilter over a TAD store. Every 80 B burst
@@ -200,12 +212,14 @@ func (f *ntcFilter) Consult(set, _, line uint64) (known, present, skipProbe bool
 func (f *ntcFilter) OnProbe(set, _ uint64) {
 	_, gb := f.t.locate(set)
 	if f.ntc != nil && set%f.t.setsPerRow != f.t.setsPerRow-1 {
-		if n := set + 1; n < f.t.sets {
-			f.ntc.Deposit(gb, n, f.t.isValid(n), f.t.tag[n], f.t.isDirty(n))
+		if n := set + 1; n < f.t.sets.n {
+			line, valid, dirty := tadLine(f.t.tad[n])
+			f.ntc.Deposit(gb, n, valid, line, dirty)
 		}
 	}
 	if f.ttc != nil {
-		f.ttc.Deposit(gb, set, f.t.isValid(set), f.t.tag[set], f.t.isDirty(set))
+		line, valid, dirty := tadLine(f.t.tad[set])
+		f.ttc.Deposit(gb, set, valid, line, dirty)
 	}
 }
 
@@ -213,11 +227,12 @@ func (f *ntcFilter) OnProbe(set, _ uint64) {
 // update to the set.
 func (f *ntcFilter) Sync(set, _ uint64) {
 	_, gb := f.t.locate(set)
+	line, valid, dirty := tadLine(f.t.tad[set])
 	if f.ntc != nil {
-		f.ntc.Sync(gb, set, f.t.isValid(set), f.t.tag[set], f.t.isDirty(set))
+		f.ntc.Sync(gb, set, valid, line, dirty)
 	}
 	if f.ttc != nil {
-		f.ttc.Sync(gb, set, f.t.isValid(set), f.t.tag[set], f.t.isDirty(set))
+		f.ttc.Sync(gb, set, valid, line, dirty)
 	}
 }
 
@@ -327,13 +342,11 @@ func NewAlloy(name string, sets uint64, l4 *dram.Memory, mem *MainMemory, hooks 
 	c := &Controller{name: name, l4: l4, mem: mem, hooks: hooks}
 	t := &tadTags{
 		c:          c,
-		sets:       sets,
+		sets:       newSetIndex(sets),
 		setsPerRow: 28,
 		channels:   uint64(cfg.Channels),
 		banks:      uint64(cfg.Banks),
-		tag:        make([]uint64, sets),
-		valid:      make([]uint64, (sets+63)/64),
-		dirty:      make([]uint64, (sets+63)/64),
+		tad:        make([]uint64, sets),
 		inclusive:  opts.Inclusive,
 	}
 	c.tags = t

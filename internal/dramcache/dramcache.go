@@ -56,14 +56,15 @@ type Cache interface {
 	Writeback(now uint64, coreID int, line uint64, pres core.Presence)
 	// Contains reports functional residency (tests, invariant checks).
 	Contains(line uint64) bool
-	// Install functionally pre-loads a clean line, consuming no bandwidth
-	// and no simulated time. Simulations use it to pre-warm the gigascale
-	// cache to steady-state residency before timing begins (the SimPoint
-	// functional-warming step of the paper's methodology). hier.Sim
-	// streams every warm line through it, one call per line — 14.9 M
-	// calls for a 1 GB cache — so its cost is most of a paper-scale
-	// simulation's set-up. Sims without an L4 never call it.
-	Install(line uint64)
+	// Install functionally pre-loads clean lines in order, consuming no
+	// bandwidth and no simulated time. Simulations use it to pre-warm the
+	// gigascale cache to steady-state residency before timing begins (the
+	// SimPoint functional-warming step of the paper's methodology).
+	// hier.Sim streams the warm set through it in batches of a few
+	// thousand lines — 14.9 M lines for a 1 GB cache — so its per-line
+	// cost is most of a paper-scale simulation's set-up. Sims without an
+	// L4 never call it.
+	Install(lines ...uint64)
 	Stats() *stats.L4
 	// OutstandingTxns reports in-flight transactions; it must return zero
 	// once the event queue has drained (the pool-leak invariant).

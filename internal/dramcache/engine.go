@@ -136,7 +136,9 @@ type TagStore interface {
 	WritebackHit(line uint64)
 	WritebackFill(now uint64, line uint64) FillResult
 	Contains(line uint64) bool
-	Install(line uint64)
+	// Install functionally installs clean lines in order (see
+	// Cache.Install); each store loops over the batch itself.
+	Install(lines ...uint64)
 }
 
 // HitPredictor guesses hit/miss before the probe resolves. A nil predictor
@@ -462,9 +464,9 @@ func (c *Controller) Contains(line uint64) bool {
 }
 
 // Install implements Cache: a free functional fill used for pre-warming.
-func (c *Controller) Install(line uint64) {
+func (c *Controller) Install(lines ...uint64) {
 	if c.tags != nil {
-		c.tags.Install(line)
+		c.tags.Install(lines...)
 	}
 }
 

@@ -127,9 +127,11 @@ func (t *lhTags) Contains(line uint64) bool {
 }
 
 // Install implements TagStore: a free functional fill used for pre-warming.
-func (t *lhTags) Install(line uint64) {
-	if _, ok := t.tags.Lookup(line); !ok {
-		t.fill(line, true)
+func (t *lhTags) Install(lines ...uint64) {
+	for _, line := range lines {
+		if _, ok := t.tags.Lookup(line); !ok {
+			t.fill(line, true)
+		}
 	}
 }
 

@@ -209,24 +209,26 @@ func (t *pageTags) WritebackFill(_ uint64, line uint64) FillResult {
 // Contains implements TagStore.
 func (t *pageTags) Contains(line uint64) bool { return t.lineValid(line) }
 
-// Install implements TagStore: free functional pre-warming, one line at a
-// time (a page frame accretes valid bits as its lines are installed; a
-// displaced prewarm victim is simply dropped, like the sector store).
-func (t *pageTags) Install(line uint64) {
-	page, off := t.amap.Split(line)
-	frame, ok := t.frameOf(page)
-	if !ok {
-		set := t.tags.SetIndex(page)
-		way := t.tags.VictimWay(page)
-		frame = set*t.ways + uint64(way)
-		ev := t.tags.Fill(page, false, 0)
-		if ev.Valid && t.onEvictPage != nil {
-			t.onEvictPage(ev.Addr)
+// Install implements TagStore: free functional pre-warming (a page frame
+// accretes valid bits as its lines are installed; a displaced prewarm
+// victim is simply dropped, like the sector store).
+func (t *pageTags) Install(lines ...uint64) {
+	for _, line := range lines {
+		page, off := t.amap.Split(line)
+		frame, ok := t.frameOf(page)
+		if !ok {
+			set := t.tags.SetIndex(page)
+			way := t.tags.VictimWay(page)
+			frame = set*t.ways + uint64(way)
+			ev := t.tags.Fill(page, false, 0)
+			if ev.Valid && t.onEvictPage != nil {
+				t.onEvictPage(ev.Addr)
+			}
+			t.validBits[frame] = 0
+			t.dirtyBits[frame] = 0
 		}
-		t.validBits[frame] = 0
-		t.dirtyBits[frame] = 0
+		t.validBits[frame] |= 1 << off
 	}
-	t.validBits[frame] |= 1 << off
 }
 
 var _ TagStore = (*pageTags)(nil)

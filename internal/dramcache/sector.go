@@ -157,18 +157,20 @@ func (t *sectorTags) Contains(line uint64) bool {
 }
 
 // Install implements TagStore.
-func (t *sectorTags) Install(line uint64) {
-	sector, off := t.amap.Split(line)
-	frame, ok := t.frameOf(sector)
-	if !ok {
-		set := t.tags.SetIndex(sector)
-		way := t.tags.VictimWay(sector)
-		frame = set*t.ways + uint64(way)
-		t.tags.Fill(sector, false, 0)
-		t.validBits[frame] = 0
-		t.dirtyBits[frame] = 0
+func (t *sectorTags) Install(lines ...uint64) {
+	for _, line := range lines {
+		sector, off := t.amap.Split(line)
+		frame, ok := t.frameOf(sector)
+		if !ok {
+			set := t.tags.SetIndex(sector)
+			way := t.tags.VictimWay(sector)
+			frame = set*t.ways + uint64(way)
+			t.tags.Fill(sector, false, 0)
+			t.validBits[frame] = 0
+			t.dirtyBits[frame] = 0
+		}
+		t.validBits[frame] |= 1 << off
 	}
-	t.validBits[frame] |= 1 << off
 }
 
 // sectorLayout: probes are free (tags on chip), data operations move 64 B

@@ -87,9 +87,11 @@ func (t *sramTags) Contains(line uint64) bool {
 }
 
 // Install implements TagStore.
-func (t *sramTags) Install(line uint64) {
-	if _, ok := t.tags.Lookup(line); !ok {
-		t.tags.Fill(line, false, 0)
+func (t *sramTags) Install(lines ...uint64) {
+	for _, line := range lines {
+		if _, ok := t.tags.Lookup(line); !ok {
+			t.tags.Fill(line, false, 0)
+		}
 	}
 }
 

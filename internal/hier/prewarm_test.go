@@ -1,7 +1,8 @@
 package hier_test
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -15,64 +16,85 @@ import (
 // which makes Sim.prewarm leave that core's residency uninstalled.
 type hidePrewarmer struct{ trace.Source }
 
-// TestStreamedPrewarmMatchesListOrder pins Sim.prewarm's streamed install
+// TestStreamedPrewarmMatchesListOrder pins Sim.prewarm's chunked install
 // order to the plainest statement of it: collect each core's warm set into
-// a list, then install the lists round-robin by position. Both sims must
-// report byte-identical results for every design. MIX1's benchmarks have
-// footprints below and above the per-core fair share, so the warm sets
-// have unequal lengths and the round-robin runs past the shorter ones.
+// a list, then install the lists round-robin by position, one line per
+// call. For every design, on a Rate and a MIX workload, both L4s must hold
+// the same warm lines, and a short run of each must report the same result
+// digest. MIX1's benchmarks have footprints below and above the per-core
+// fair share, so the warm sets have unequal lengths: the round-robin runs
+// past exhausted cores and ends in a partial chunk.
 func TestStreamedPrewarmMatchesListOrder(t *testing.T) {
 	const warm, meas = 20000, 50000
 	p := exp.Quick()
-	for d := config.NoL4; d <= config.TicToc; d++ {
-		cfg := config.Default(p.Scale).WithDesign(d)
-		run := func(byHand bool) []byte {
-			t.Helper()
-			wl, err := trace.Mix(1, cfg.Core.Count, p.Scale, p.Seed)
-			if err != nil {
-				t.Fatal(err)
+	workloads := []struct {
+		name string
+		make func(cores int) (trace.Workload, error)
+	}{
+		{"rate-mcf", func(cores int) (trace.Workload, error) { return trace.Rate("mcf", cores, p.Scale, p.Seed) }},
+		{"mix1", func(cores int) (trace.Workload, error) { return trace.Mix(1, cores, p.Scale, p.Seed) }},
+	}
+	for _, w := range workloads {
+		for d := config.NoL4; d <= config.TicToc; d++ {
+			cfg := config.Default(p.Scale).WithDesign(d)
+			build := func(byHand bool) (*hier.Sim, [][]uint64) {
+				t.Helper()
+				wl, err := w.make(cfg.Core.Count)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lists := warmLists(cfg, wl.Sources)
+				if byHand {
+					for i, src := range wl.Sources {
+						wl.Sources[i] = hidePrewarmer{src}
+					}
+				}
+				sim, err := hier.NewSim(cfg, wl, warm, meas)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if byHand {
+					installRoundRobin(sim, lists)
+				}
+				return sim, lists
 			}
-			gens := wl.Sources
-			if byHand {
-				wl.Sources = make([]trace.Source, len(gens))
-				for i, src := range gens {
-					wl.Sources[i] = hidePrewarmer{src}
+			chunked, lists := build(false)
+			listed, _ := build(true)
+			if w.name == "mix1" && d == config.Alloy {
+				checkUnevenChunks(t, lists)
+			}
+			for i, list := range lists {
+				for _, line := range list {
+					if got, want := chunked.Bundle.Cache.Contains(line), listed.Bundle.Cache.Contains(line); got != want {
+						t.Fatalf("%s %v: core %d warm line %d: chunked Contains = %v, round-robin %v",
+							w.name, d, i, line, got, want)
+					}
 				}
 			}
-			sim, err := hier.NewSim(cfg, wl, warm, meas)
-			if err != nil {
-				t.Fatal(err)
+			if a, b := runDigest(t, chunked), runDigest(t, listed); a != b {
+				t.Errorf("%s %v: chunked prewarm changed the result digest: %s, round-robin %s", w.name, d, a, b)
 			}
-			if byHand {
-				installListOrder(sim, cfg, gens)
-			}
-			r, err := sim.Run()
-			if err != nil {
-				t.Fatalf("%v: %v", d, err)
-			}
-			out, err := json.Marshal(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		if streamed, listed := run(false), run(true); !bytes.Equal(streamed, listed) {
-			t.Errorf("%v: streamed prewarm changed results:\n  streamed: %s\n  listed:   %s",
-				d, streamed, listed)
 		}
 	}
 }
 
-// installListOrder is the list-then-interleave prewarm, installing into a
-// sim whose own prewarm saw no Prewarmer.
-func installListOrder(sim *hier.Sim, cfg config.System, gens []trace.Source) {
-	fair := uint64(cfg.CacheBytes) / config.TADBytes / uint64(len(gens))
-	lists := make([][]uint64, len(gens))
-	for i, src := range gens {
+// warmLists collects each core's warm set as Sim.prewarm sizes it.
+func warmLists(cfg config.System, srcs []trace.Source) [][]uint64 {
+	fair := uint64(cfg.CacheBytes) / config.TADBytes / uint64(len(srcs))
+	lists := make([][]uint64, len(srcs))
+	for i, src := range srcs {
 		p := src.(trace.Prewarmer)
-		for j := uint64(0); j < p.PrewarmLen(fair); j++ {
-			lists[i] = append(lists[i], p.PrewarmLine(j))
-		}
+		lists[i] = make([]uint64, p.PrewarmLen(fair))
+		p.PrewarmLines(0, lists[i])
+	}
+	return lists
+}
+
+// installRoundRobin is the per-line reference prewarm, installing into a
+// sim whose own prewarm saw no Prewarmer.
+func installRoundRobin(sim *hier.Sim, lists [][]uint64) {
+	if sim.Bundle.L4DRAM == nil {
+		return // NoL4: Sim.prewarm installs nothing either
 	}
 	for pos := 0; ; pos++ {
 		any := false
@@ -86,4 +108,34 @@ func installListOrder(sim *hier.Sim, cfg config.System, gens []trace.Source) {
 			return
 		}
 	}
+}
+
+// checkUnevenChunks fails unless the warm sets exercise the chunking's edge
+// cases: several chunks, cores exhausted before the longest, and a partial
+// last chunk.
+func checkUnevenChunks(t *testing.T, lists [][]uint64) {
+	t.Helper()
+	shortest, longest := len(lists[0]), 0
+	for _, l := range lists {
+		shortest, longest = min(shortest, len(l)), max(longest, len(l))
+	}
+	if longest <= hier.PrewarmChunk || shortest == longest || longest%hier.PrewarmChunk == 0 {
+		t.Fatalf("warm sets of %d..%d lines miss the chunking's edge cases (chunk %d)",
+			shortest, longest, hier.PrewarmChunk)
+	}
+}
+
+// runDigest runs sim and hashes its JSON result.
+func runDigest(t *testing.T, sim *hier.Sim) string {
+	t.Helper()
+	r, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:8])
 }

@@ -42,15 +42,17 @@ type Source interface {
 
 // Prewarmer is implemented by sources that can enumerate their steady-state
 // cache residency for functional warming. The residency is an indexed
-// sequence rather than a visitor, so the simulator streams it straight into
-// the L4 — interleaving cores line by line — without materialising it.
+// sequence rather than a visitor, so the simulator streams it into the L4
+// in small chunks — interleaving cores line by line — without
+// materialising it.
 type Prewarmer interface {
 	// PrewarmLen is the number of warm lines, capped at limit.
 	PrewarmLen(limit uint64) uint64
-	// PrewarmLine returns warm line i, for i below PrewarmLen. Lines are
-	// ordered by priority: a prefix of the sequence is the best warm set of
-	// that size.
-	PrewarmLine(i uint64) uint64
+	// PrewarmLines fills dst with warm lines from, from+1, ...,
+	// from+len(dst)-1, which must all lie below PrewarmLen. Lines are
+	// ordered by priority: a prefix of the sequence is the best warm set
+	// of that size.
+	PrewarmLines(from uint64, dst []uint64)
 }
 
 // Benchmark describes one synthetic SPEC-like program. MPKI and FootprintMB
@@ -194,7 +196,7 @@ func NewGen(b Benchmark, core int, scale int, seed uint64) *Gen {
 // Bench returns the benchmark this generator models.
 func (g *Gen) Bench() Benchmark { return g.b }
 
-// PrewarmLen and PrewarmLine enumerate the benchmark's steady-state
+// PrewarmLen and PrewarmLines enumerate the benchmark's steady-state
 // DRAM-cache residency: the hot set first (its reuse keeps it resident),
 // then the rest of the footprint in address order with the hot range
 // skipped. The simulator installs a prefix of these lines functionally
@@ -205,16 +207,27 @@ func (g *Gen) Bench() Benchmark { return g.b }
 // footLines distinct lines.
 func (g *Gen) PrewarmLen(limit uint64) uint64 { return min(limit, g.footLines) }
 
-// PrewarmLine implements Prewarmer in O(1).
-func (g *Gen) PrewarmLine(i uint64) uint64 {
-	if i < g.hotLines {
-		return g.hotBase + i
+// PrewarmLines implements Prewarmer. The sequence is three runs of
+// consecutive lines — the hot range, the footprint below it, the footprint
+// above it — so dst fills run by run.
+func (g *Gen) PrewarmLines(from uint64, dst []uint64) {
+	lead := g.hotBase - g.base
+	for i := from; len(dst) > 0; {
+		var first, run uint64 // the run holding warm line i
+		switch {
+		case i < g.hotLines:
+			first, run = g.hotBase+i, g.hotLines-i
+		case i-g.hotLines < lead:
+			first, run = g.base+i-g.hotLines, lead-(i-g.hotLines)
+		default: // above the hot range: the index steps over it
+			first, run = g.base+i, uint64(len(dst))
+		}
+		n := min(run, uint64(len(dst)))
+		for k := range n {
+			dst[k] = first + k
+		}
+		dst, i = dst[n:], i+n
 	}
-	i -= g.hotLines
-	if lead := g.hotBase - g.base; i >= lead {
-		i += g.hotLines // step over the hot range
-	}
-	return g.base + i
 }
 
 // FootprintLines returns the scaled per-core footprint in lines.

@@ -222,7 +222,7 @@ func TestFootprintScaling(t *testing.T) {
 }
 
 // refPrewarm is the warm-set enumeration written as a plain loop over the
-// hot set and then the footprint: the reference PrewarmLen and PrewarmLine
+// hot set and then the footprint: the reference PrewarmLen and PrewarmLines
 // must reproduce line for line.
 func refPrewarm(g *Gen, limit uint64, visit func(line uint64)) {
 	n := uint64(0)
@@ -259,22 +259,58 @@ func forEachPrewarmCase(t *testing.T, check func(t *testing.T, g *Gen, limit uin
 	}
 }
 
-// TestPrewarm pins the indexed enumeration to refPrewarm: same count, same
-// lines, same order.
+// TestPrewarm pins the chunked enumeration to refPrewarm: same count, same
+// lines, same order, read in consecutive chunks of several sizes. It also
+// reads one chunk straddling each seam of the sequence — hot range to lower
+// footprint, lower to upper footprint — which a chunk size that divides the
+// seam's index would never do.
 func TestPrewarm(t *testing.T) {
 	forEachPrewarmCase(t, func(t *testing.T, g *Gen, limit uint64) {
 		n := g.PrewarmLen(limit)
+		type window struct{ from, to uint64 }
+		var seams []window
+		for _, seam := range []uint64{g.hotLines, g.hotLines + g.hotBase - g.base} {
+			if w := (window{seam - min(seam, 3), min(seam+4, n)}); w.from < w.to {
+				seams = append(seams, w)
+			}
+		}
+		ref := make(map[uint64]uint64) // the reference lines inside the seam windows
+		chunks := make([][]uint64, 3)
+		for c, size := range []int{1, 7, 4096} {
+			chunks[c] = make([]uint64, size)
+		}
 		i := uint64(0)
 		refPrewarm(g, limit, func(line uint64) {
 			if i < n {
-				if got := g.PrewarmLine(i); got != line {
-					t.Fatalf("PrewarmLine(%d) = %d, reference visits %d", i, got, line)
+				for _, chunk := range chunks {
+					size := uint64(len(chunk))
+					if i%size == 0 {
+						g.PrewarmLines(i, chunk[:min(size, n-i)])
+					}
+					if got := chunk[i%size]; got != line {
+						t.Fatalf("chunks of %d: line %d = %d, reference visits %d", size, i, got, line)
+					}
+				}
+				for _, w := range seams {
+					if i >= w.from && i < w.to {
+						ref[i] = line
+					}
 				}
 			}
 			i++
 		})
 		if i != n {
 			t.Fatalf("PrewarmLen = %d, reference visits %d lines", n, i)
+		}
+		for _, w := range seams {
+			dst := make([]uint64, w.to-w.from)
+			g.PrewarmLines(w.from, dst)
+			for k, got := range dst {
+				if want := ref[w.from+uint64(k)]; got != want {
+					t.Fatalf("PrewarmLines(%d, [%d]) line %d = %d, reference visits %d",
+						w.from, len(dst), w.from+uint64(k), got, want)
+				}
+			}
 		}
 	})
 }
@@ -289,18 +325,22 @@ func TestPrewarmProperty(t *testing.T) {
 			t.Fatalf("PrewarmLen = %d, want %d", n, want)
 		}
 		seen := make([]uint64, (g.footLines+63)/64)
+		chunk := make([]uint64, 1000)
 		for i := uint64(0); i < n; i++ {
-			line := g.PrewarmLine(i)
+			if i%1000 == 0 {
+				g.PrewarmLines(i, chunk[:min(1000, n-i)])
+			}
+			line := chunk[i%1000]
 			if line < g.base || line >= g.base+g.footLines {
-				t.Fatalf("PrewarmLine(%d) = %d outside footprint", i, line)
+				t.Fatalf("warm line %d = %d outside footprint", i, line)
 			}
 			off := line - g.base
 			if seen[off/64]&(1<<(off%64)) != 0 {
-				t.Fatalf("PrewarmLine(%d) = %d repeats", i, line)
+				t.Fatalf("warm line %d = %d repeats", i, line)
 			}
 			seen[off/64] |= 1 << (off % 64)
 			if i < g.hotLines && line != g.hotBase+i {
-				t.Fatalf("PrewarmLine(%d) = %d, want hot line %d first", i, line, g.hotBase+i)
+				t.Fatalf("warm line %d = %d, want hot line %d first", i, line, g.hotBase+i)
 			}
 		}
 	})

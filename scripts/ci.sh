@@ -58,6 +58,10 @@ go test -run '^$' -fuzz FuzzReadTrace -fuzztime 10s ./internal/trace
 # workers, so every accepted plan must re-parse to itself. Crashers land in
 # internal/faultpoint/testdata/fuzz.
 go test -run '^$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/faultpoint
+# And for the Alloy-family TAD store's divide-free set index: it must equal
+# line % sets for every set count. Crashers land in
+# internal/dramcache/testdata/fuzz.
+go test -run '^$' -fuzz FuzzTADSetIndex -fuzztime 10s ./internal/dramcache
 
 # perfbench is its own module (perfbench/go.mod), so `./...` and simlint
 # stop at it. Vet and test it here so the benchmark's output checks keep

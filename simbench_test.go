@@ -110,8 +110,8 @@ func BenchmarkSimTicToc(b *testing.B) { benchSim(b, config.TicToc) }
 // BenchmarkNewSimPaper times hier.NewSim at paper scale (1 GB L4) for every
 // design: tag-array allocation plus the functional prewarm that installs
 // each core's steady-state residency. It reports B/op, the construction
-// footprint. The name avoids the BenchmarkSim prefix on purpose: those rows
-// are ns/instr rows for scripts/bench.sh.
+// footprint. scripts/bench.sh records these as its set-up rows; the name
+// avoids the BenchmarkSim prefix, whose rows it reads as ns/instr rows.
 func BenchmarkNewSimPaper(b *testing.B) {
 	const scale = 1
 	for d := config.NoL4; d <= config.TicToc; d++ {
