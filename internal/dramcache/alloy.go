@@ -1,6 +1,7 @@
 package dramcache
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"bear/internal/config"
@@ -62,47 +63,97 @@ type tadTags struct {
 	channels   uint64
 	banks      uint64
 
-	// tad holds one word per set: (line+1) | tadDirty for a resident line,
-	// zero for an empty set. Line addresses lie below 2^58 (a 64-bit byte
-	// address >> 6), so line+1 never reaches the dirty bit.
-	tad []uint64
+	// slots packs one width-byte little-endian slot per set, plus 8 bytes
+	// of tail padding so every slot can be read with one 8-byte load. A
+	// slot holds (tag+1) | dirty for a resident line, where the tag is
+	// line / sets (the set implies the remainder), and zero for an empty
+	// set.
+	slots []byte
+	width uint64
+	dirty uint64 // the slot's top bit
 
 	inclusive bool
 }
 
-// tadDirty is a TAD word's dirty bit.
-const tadDirty = 1 << 63
+// maxLine bounds line addresses, as in the trace reader: a line is a 64-bit
+// byte address >> 6.
+const maxLine = 1 << 58
 
-// tadLine decodes a TAD word into its resident line and state. An empty
-// set decodes as line 0, the tag an empty set has always reported to the
-// NTC and TTC.
-func tadLine(w uint64) (line uint64, valid, dirty bool) {
+// tadSlotBytes is the slot width for sets sets: room for the largest tag
+// plus one and the dirty bit above it. It depends only on the set count,
+// never on the workload. It is never below 5 bytes, the least putSlot
+// writes.
+func tadSlotBytes(sets uint64) uint64 {
+	maxTag := (maxLine - 1) / sets
+	return max(5, uint64(bits.Len64(maxTag+1)+1+7)/8)
+}
+
+// slot reads set's slot: one unaligned 8-byte load, masked to the slot.
+func (t *tadTags) slot(set uint64) uint64 {
+	return binary.LittleEndian.Uint64(t.slots[set*t.width:]) & (t.dirty<<1 - 1)
+}
+
+// putSlot writes set's slot with stores only: the low 4 bytes, then the
+// rest in at most three stores chosen by predictable branches on the width.
+// Merging v into an 8-byte read of the slot's window instead would stall on
+// store forwarding between adjacent slots. It takes the slab and width
+// rather than the tadTags so Install can hoist both out of its loop: the
+// compiler cannot prove the stores leave t's fields alone, and would reload
+// them for every line.
+func putSlot(slots []byte, width, set, v uint64) {
+	off := set * width
+	b := slots[off : off+8 : off+8]
+	binary.LittleEndian.PutUint32(b, uint32(v))
+	if width == 5 {
+		b[4] = byte(v >> 32)
+		return
+	}
+	binary.LittleEndian.PutUint16(b[4:], uint16(v>>32))
+	if width > 6 {
+		b[6] = byte(v >> 48)
+		if width == 8 {
+			b[7] = byte(v >> 56)
+		}
+	}
+}
+
+// line decodes set's slot into its resident line and state. An empty set
+// decodes as line 0, the tag an empty set has always reported to the NTC
+// and TTC.
+func (t *tadTags) line(set uint64) (line uint64, valid, dirty bool) {
+	w := t.slot(set)
 	if w == 0 {
 		return 0, false, false
 	}
-	return w&^tadDirty - 1, true, w&tadDirty != 0
+	return (w&^t.dirty-1)*t.sets.n + set, true, w&t.dirty != 0
 }
 
-// setIndex computes line % sets without a divide: with m = ceil(2^64/sets),
-// the high word of line*m is line/sets or one more, and a negative
-// remainder (as a signed value) undoes the overshoot. For sets == 1 the
-// reciprocal overflows to 0, and every line maps to set 0.
-type setIndex struct{ n, m uint64 }
+// setIndex computes line / sets and line % sets without a divide: with
+// m = ceil(2^64/sets), the high word of line*m is line/sets or one more,
+// and a negative remainder (as a signed value) undoes the overshoot. For
+// sets == 1 the reciprocal is 2^64, so m overflows to 0; wrap is all ones
+// only then and adds back the quotient the lost 2^64 would have
+// contributed (the line itself), so split needs no branch.
+type setIndex struct{ n, m, wrap uint64 }
 
 func newSetIndex(sets uint64) setIndex {
-	return setIndex{n: sets, m: ^uint64(0)/sets + 1}
+	s := setIndex{n: sets, m: ^uint64(0)/sets + 1}
+	if sets == 1 {
+		s.wrap = ^uint64(0)
+	}
+	return s
 }
 
-func (s setIndex) of(line uint64) uint64 {
-	if s.m == 0 {
-		return 0
-	}
-	q, _ := bits.Mul64(line, s.m)
-	r := line - q*s.n
+// split returns line's tag (quotient) and set (remainder).
+func (s setIndex) split(line uint64) (q, r uint64) {
+	q, _ = bits.Mul64(line, s.m)
+	q += line & s.wrap
+	r = line - q*s.n
 	if int64(r) < 0 {
 		r += s.n
+		q--
 	}
-	return r
+	return q, r
 }
 
 // locate maps a set to its DRAM coordinates. Consecutive sets share a row;
@@ -118,9 +169,9 @@ func (t *tadTags) locate(set uint64) (Location, int) {
 
 // Lookup implements TagStore.
 func (t *tadTags) Lookup(_ uint64, line uint64) Probe {
-	set := t.sets.of(line)
+	q, set := t.sets.split(line)
 	loc, _ := t.locate(set)
-	return Probe{Hit: t.tad[set]&^tadDirty == line+1, Loc: loc, Set: set, Block: line}
+	return Probe{Hit: t.slot(set)&^t.dirty == q+1, Loc: loc, Set: set, Block: line}
 }
 
 // Touch implements TagStore (direct-mapped: no replacement state).
@@ -129,10 +180,10 @@ func (t *tadTags) Touch(uint64) {}
 // Fill implements TagStore: evict (back-invalidating under inclusion),
 // install clean.
 func (t *tadTags) Fill(_ uint64, line, _ uint64, _ bool) FillResult {
-	set := t.sets.of(line)
+	q, set := t.sets.split(line)
 	loc, _ := t.locate(set)
 	fr := FillResult{Loc: loc}
-	fr.VictimLine, fr.VictimValid, fr.VictimDirty = tadLine(t.tad[set])
+	fr.VictimLine, fr.VictimValid, fr.VictimDirty = t.line(set)
 	if fr.VictimValid {
 		if t.inclusive {
 			if h := t.c.hooks.OnBackInvalidate; h != nil && h(fr.VictimLine) {
@@ -142,38 +193,45 @@ func (t *tadTags) Fill(_ uint64, line, _ uint64, _ bool) FillResult {
 			h(fr.VictimLine)
 		}
 	}
-	t.tad[set] = line + 1
+	putSlot(t.slots, t.width, set, q+1)
 	return fr
 }
 
 // WritebackHit implements TagStore. The engine calls it only on a hit, so
-// the set's word is never empty.
-func (t *tadTags) WritebackHit(line uint64) { t.tad[t.sets.of(line)] |= tadDirty }
+// the set's slot is never empty; setting the dirty bit touches only the
+// slot's top byte.
+func (t *tadTags) WritebackHit(line uint64) {
+	_, set := t.sets.split(line)
+	t.slots[set*t.width+t.width-1] |= 0x80
+}
 
 // WritebackFill implements TagStore: evict, install dirty.
 func (t *tadTags) WritebackFill(_ uint64, line uint64) FillResult {
-	set := t.sets.of(line)
+	q, set := t.sets.split(line)
 	loc, _ := t.locate(set)
 	fr := FillResult{Loc: loc}
-	fr.VictimLine, fr.VictimValid, fr.VictimDirty = tadLine(t.tad[set])
+	fr.VictimLine, fr.VictimValid, fr.VictimDirty = t.line(set)
 	if fr.VictimValid {
 		if h := t.c.hooks.OnEvict; h != nil {
 			h(fr.VictimLine)
 		}
 	}
-	t.tad[set] = (line + 1) | tadDirty
+	putSlot(t.slots, t.width, set, (q+1)|t.dirty)
 	return fr
 }
 
 // Contains implements TagStore.
 func (t *tadTags) Contains(line uint64) bool {
-	return t.tad[t.sets.of(line)]&^tadDirty == line+1
+	q, set := t.sets.split(line)
+	return t.slot(set)&^t.dirty == q+1
 }
 
 // Install implements TagStore.
 func (t *tadTags) Install(lines ...uint64) {
+	slots, width, sets := t.slots, t.width, t.sets
 	for _, line := range lines {
-		t.tad[t.sets.of(line)] = line + 1
+		q, set := sets.split(line)
+		putSlot(slots, width, set, q+1)
 	}
 }
 
@@ -213,12 +271,12 @@ func (f *ntcFilter) OnProbe(set, _ uint64) {
 	_, gb := f.t.locate(set)
 	if f.ntc != nil && set%f.t.setsPerRow != f.t.setsPerRow-1 {
 		if n := set + 1; n < f.t.sets.n {
-			line, valid, dirty := tadLine(f.t.tad[n])
+			line, valid, dirty := f.t.line(n)
 			f.ntc.Deposit(gb, n, valid, line, dirty)
 		}
 	}
 	if f.ttc != nil {
-		line, valid, dirty := tadLine(f.t.tad[set])
+		line, valid, dirty := f.t.line(set)
 		f.ttc.Deposit(gb, set, valid, line, dirty)
 	}
 }
@@ -227,7 +285,7 @@ func (f *ntcFilter) OnProbe(set, _ uint64) {
 // update to the set.
 func (f *ntcFilter) Sync(set, _ uint64) {
 	_, gb := f.t.locate(set)
-	line, valid, dirty := tadLine(f.t.tad[set])
+	line, valid, dirty := f.t.line(set)
 	if f.ntc != nil {
 		f.ntc.Sync(gb, set, valid, line, dirty)
 	}
@@ -340,13 +398,16 @@ func NewAlloy(name string, sets uint64, l4 *dram.Memory, mem *MainMemory, hooks 
 	}
 	cfg := l4.Config()
 	c := &Controller{name: name, l4: l4, mem: mem, hooks: hooks}
+	width := tadSlotBytes(sets)
 	t := &tadTags{
 		c:          c,
 		sets:       newSetIndex(sets),
 		setsPerRow: 28,
 		channels:   uint64(cfg.Channels),
 		banks:      uint64(cfg.Banks),
-		tad:        make([]uint64, sets),
+		slots:      make([]byte, sets*width+8),
+		width:      width,
+		dirty:      1 << (8*width - 1),
 		inclusive:  opts.Inclusive,
 	}
 	c.tags = t

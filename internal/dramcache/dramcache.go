@@ -62,7 +62,9 @@ type Cache interface {
 	// SimPoint functional-warming step of the paper's methodology).
 	// hier.Sim streams the warm set through it in batches of a few
 	// thousand lines — 14.9 M lines for a 1 GB cache — so its per-line
-	// cost is most of a paper-scale simulation's set-up. Sims without an
+	// cost is most of a paper-scale simulation's set-up. In the Alloy
+	// family that cost is one multiply and a store-only write of the
+	// set's packed tag slot (five bytes at paper scale). Sims without an
 	// L4 never call it.
 	Install(lines ...uint64)
 	Stats() *stats.L4

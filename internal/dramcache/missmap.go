@@ -1,6 +1,8 @@
 package dramcache
 
 import (
+	"math/bits"
+
 	"bear/internal/fault"
 	"bear/internal/sram"
 )
@@ -17,8 +19,7 @@ import (
 // which the LohHill design adds on every request.
 type MissMap struct {
 	tags     *sram.Cache // keyed by segment number
-	bits     []uint64    // per-frame residency vector
-	frames   map[uint64]uint64
+	bits     []uint64    // per-frame residency vector, indexed by frame
 	ways     uint64
 	linesPer uint64
 
@@ -45,7 +46,6 @@ func NewMissMap(segments uint64, ways int, linesPer uint64, onEvictLine func(uin
 	return &MissMap{
 		tags:        sram.New(sets, ways),
 		bits:        make([]uint64, sets*uint64(ways)),
-		frames:      make(map[uint64]uint64),
 		ways:        uint64(ways),
 		linesPer:    linesPer,
 		onEvictLine: onEvictLine,
@@ -56,13 +56,17 @@ func (m *MissMap) split(line uint64) (segment uint64, bit uint64) {
 	return line / m.linesPer, uint64(1) << (line % m.linesPer)
 }
 
+// frame returns the residency-vector index of the tag array way that
+// segment seg occupies (set-major, like the tag array itself).
+func (m *MissMap) frame(seg uint64, way int) uint64 {
+	return m.tags.SetIndex(seg)*m.ways + uint64(way)
+}
+
 // Present reports whether line is marked resident.
 func (m *MissMap) Present(line uint64) bool {
 	seg, bit := m.split(line)
-	if _, ok := m.tags.Lookup(seg); !ok {
-		return false
-	}
-	return m.bits[m.frames[seg]]&bit != 0
+	way, ok := m.tags.WayOf(seg)
+	return ok && m.bits[m.frame(seg, way)]&bit != 0
 }
 
 // Set marks line resident, allocating (and possibly evicting) a segment
@@ -70,18 +74,15 @@ func (m *MissMap) Present(line uint64) bool {
 // still tracked.
 func (m *MissMap) Set(line uint64) {
 	seg, bit := m.split(line)
-	if _, ok := m.tags.Lookup(seg); ok {
+	if way, ok := m.tags.WayOf(seg); ok {
 		m.tags.Access(seg, false)
-		m.bits[m.frames[seg]] |= bit
+		m.bits[m.frame(seg, way)] |= bit
 		return
 	}
-	set := m.tags.SetIndex(seg)
-	way := m.tags.VictimWay(seg)
-	frame := set*m.ways + uint64(way)
+	frame := m.frame(seg, m.tags.VictimWay(seg))
 	ev := m.tags.Fill(seg, false, 0)
 	if ev.Valid {
 		m.SegEvictions++
-		delete(m.frames, ev.Addr)
 		vec := m.bits[frame]
 		for off := uint64(0); off < m.linesPer; off++ {
 			if vec&(1<<off) != 0 {
@@ -93,26 +94,23 @@ func (m *MissMap) Set(line uint64) {
 		}
 	}
 	m.bits[frame] = bit
-	m.frames[seg] = frame
 }
 
 // Clear unmarks line (called when the DRAM cache evicts it).
 func (m *MissMap) Clear(line uint64) {
 	seg, bit := m.split(line)
-	if _, ok := m.tags.Lookup(seg); !ok {
-		return
+	if way, ok := m.tags.WayOf(seg); ok {
+		m.bits[m.frame(seg, way)] &^= bit
 	}
-	m.bits[m.frames[seg]] &^= bit
 }
 
 // Count returns the number of resident lines tracked (tests).
 func (m *MissMap) Count() int {
 	n := 0
-	for seg := range m.frames {
-		vec := m.bits[m.frames[seg]]
-		for ; vec != 0; vec &= vec - 1 {
-			n++ //bear:nolint maprange — integer popcount; addition order cannot change the sum
-		}
-	}
+	m.tags.Range(func(l sram.Line) bool {
+		way, _ := m.tags.WayOf(l.Addr)
+		n += bits.OnesCount64(m.bits[m.frame(l.Addr, way)])
+		return true
+	})
 	return n
 }

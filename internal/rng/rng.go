@@ -23,6 +23,8 @@
 //     rule; see ARCHITECTURE.md "Enforced invariants").
 package rng
 
+import "math/bits"
+
 // Source is an xorshift64* generator. The zero value is not valid; use New.
 type Source struct {
 	state uint64
@@ -80,14 +82,4 @@ func (s *Source) Fork() *Source {
 }
 
 // mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
-}
+func mul64(a, b uint64) (hi, lo uint64) { return bits.Mul64(a, b) }

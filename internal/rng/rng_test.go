@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -128,18 +129,27 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
+// TestMul64 checks the 128-bit product against math/big on edge operands
+// and random ones.
 func TestMul64(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{^uint64(0), ^uint64(0), ^uint64(0) - 1, 1},
-		{^uint64(0), 2, 1, ^uint64(0) - 1},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%#x,%#x) = (%#x,%#x), want (%#x,%#x)", c.a, c.b, hi, lo, c.hi, c.lo)
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1 << 63, ^uint64(0)}
+	r := New(7)
+	check := func(a, b uint64) {
+		hi, lo := mul64(a, b)
+		want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+		got.Or(got, new(big.Int).SetUint64(lo))
+		if got.Cmp(want) != 0 {
+			t.Fatalf("mul64(%#x, %#x) = (%#x, %#x), want %#x", a, b, hi, lo, want)
 		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+		check(a, r.Uint64())
+	}
+	for range 10000 {
+		check(r.Uint64(), r.Uint64())
 	}
 }

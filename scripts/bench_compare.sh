@@ -3,7 +3,9 @@
 # repository root, printing per-benchmark ns/instr and allocs/instr deltas
 # and per-design paper-scale set-up (ms/op, MB/op) deltas. Positive
 # percentages are regressions (the newer snapshot is slower). It exits
-# non-zero on a ns/instr regression above 5%.
+# non-zero on a ns/instr regression above 5%, or when any design's set-up
+# MB/op rises by more than 1%: the set-up footprint is deterministic, so
+# unlike a timing it needs no noise allowance.
 #
 # Snapshots record the per-name minimum over bench.sh's COUNT samples, so
 # within one session a diff compares minima against minima, never a single
@@ -67,6 +69,10 @@ awk 'NR == FNR { a[$1, $2] = $3; b[$1, $2] = $4; next }
 	} else {
 		printf "%-24s ms/op    %8.1f -> %8.1f  (%+6.1f%%)   MB/op %8.1f -> %8.1f\n", \
 			$2, a[$1, $2], $3, d, b[$1, $2], $4
+		if ($4 > b[$1, $2] * 1.01) {
+			printf "%-24s MB/op rose by more than 1%%\n", $2
+			bad = 1
+		}
 	}
 }
 END { exit bad }' "$tmp/old" "$tmp/new" || bad=1

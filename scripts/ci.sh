@@ -62,6 +62,10 @@ go test -run '^$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/faultpoint
 # line % sets for every set count. Crashers land in
 # internal/dramcache/testdata/fuzz.
 go test -run '^$' -fuzz FuzzTADSetIndex -fuzztime 10s ./internal/dramcache
+# And for its packed slots: random set counts and write sequences must
+# decode back to the written line and dirty bit and leave both neighbouring
+# slots untouched.
+go test -run '^$' -fuzz FuzzTADSlots -fuzztime 10s ./internal/dramcache
 
 # perfbench is its own module (perfbench/go.mod), so `./...` and simlint
 # stop at it. Vet and test it here so the benchmark's output checks keep
