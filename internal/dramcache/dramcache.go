@@ -19,6 +19,7 @@ import (
 	"bear/internal/dram"
 	"bear/internal/event"
 	"bear/internal/stats"
+	"bear/internal/trace"
 )
 
 // ReadResult is delivered to the hierarchy when an L4 read completes.
@@ -57,16 +58,19 @@ type Cache interface {
 	// Contains reports functional residency (tests, invariant checks).
 	Contains(line uint64) bool
 	// Install functionally pre-loads clean lines in order, consuming no
-	// bandwidth and no simulated time. Simulations use it to pre-warm the
-	// gigascale cache to steady-state residency before timing begins (the
-	// SimPoint functional-warming step of the paper's methodology).
-	// hier.Sim streams the warm set through it in batches of a few
-	// thousand lines — 14.9 M lines for a 1 GB cache — so its per-line
-	// cost is most of a paper-scale simulation's set-up. In the Alloy
-	// family that cost is one multiply and a store-only write of the
-	// set's packed tag slot (five bytes at paper scale). Sims without an
-	// L4 never call it.
+	// bandwidth and no simulated time. It is the line-by-line statement
+	// of Prewarm: tests install warm sets through it one position at a
+	// time as Prewarm's reference. Sims without an L4 never call it.
 	Install(lines ...uint64)
+	// Prewarm functionally installs each core's warm runs, cores[i] being
+	// core i's, before timing begins: the SimPoint functional-warming
+	// step of the paper's methodology. The result is exactly that of
+	// Install fed every core's first warm line in core order, then every
+	// core's second, and so on, so conflict evictions in the
+	// direct-mapped designs are shared fairly, as in steady state. The
+	// Alloy family writes each run as slot-range fills and never sees a
+	// line on its own; the other designs take the lines in batches.
+	Prewarm(cores [][]trace.Run)
 	Stats() *stats.L4
 	// OutstandingTxns reports in-flight transactions; it must return zero
 	// once the event queue has drained (the pool-leak invariant).

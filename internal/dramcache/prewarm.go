@@ -1,0 +1,132 @@
+package dramcache
+
+import (
+	"cmp"
+	"slices"
+
+	"bear/internal/trace"
+)
+
+// Prewarm implements Cache. The tag store picks the path: the
+// direct-mapped TAD store writes whole run pieces at once, and every other
+// store, whose replacement state depends on the install order, takes the
+// lines one position at a time.
+func (c *Controller) Prewarm(cores [][]trace.Run) {
+	switch t := c.tags.(type) {
+	case nil:
+		// No L4: there is no cache to warm.
+	case *tadTags:
+		t.prewarm(cores)
+	default:
+		installInterleaved(t, cores)
+	}
+}
+
+// tadPiece is the part of a warm run that lands on the consecutive sets
+// set, set+1, ..., set+n-1 without wrapping, so every line in it has the
+// same quotient tag and the piece writes the one slot value tag+1 to each.
+// If the piece starts at warm position p0 of its core, it writes set s at
+// position s-c, where c = set-p0. late is sets-c, which keeps the order
+// unsigned: of two pieces sharing a set, the one with the larger late
+// writes it at the later position.
+type tadPiece struct {
+	late, set, n, tag uint64
+	core              int
+}
+
+// prewarm leaves the slots exactly as Install would, fed each core's lines
+// position by position, cores in index order. A set's last writer there is
+// the covering piece with the largest late and, among equal late, the
+// highest core; two pieces of one core with equal late never share a set,
+// since a core has one line per position. So the pieces are filled in
+// ascending (late, core) order, each with one putSlot doubled out by copy,
+// and the last fill of every set is its last writer.
+func (t *tadTags) prewarm(cores [][]trace.Run) {
+	sets := t.sets.n
+	var pieces []tadPiece
+	for core, runs := range cores {
+		pos := uint64(0)
+		for _, r := range runs {
+			for line, end := r.First, r.First+r.Len; line < end; {
+				q, set := t.sets.split(line)
+				n := min(end-line, sets-set)
+				pieces = append(pieces, tadPiece{late: pos + sets - set, set: set, n: n, tag: q + 1, core: core})
+				line, pos = line+n, pos+n
+			}
+		}
+	}
+	slices.SortFunc(pieces, func(a, b tadPiece) int {
+		return cmp.Or(cmp.Compare(a.late, b.late), cmp.Compare(a.core, b.core))
+	})
+	slots, width := t.slots, t.width
+	for _, p := range pieces {
+		seg := slots[p.set*width : (p.set+p.n)*width]
+		putSlot(slots, width, p.set, p.tag)
+		for done := width; done < uint64(len(seg)); done *= 2 {
+			copy(seg[done:], seg[:done])
+		}
+	}
+}
+
+// prewarmChunk is the number of warm positions installInterleaved takes
+// from the cores per Install call: large enough to amortise the per-call
+// costs, small enough that the chunks and their interleaving stay
+// cache-resident.
+const prewarmChunk = 512
+
+// installInterleaved is the line-by-line prewarm: it expands each core's
+// runs into lines and installs them position by position, cores in index
+// order, so that conflict evictions are shared fairly, as they would be in
+// steady state. At paper scale the warm set is millions of lines per core,
+// so each step expands one chunk per core, interleaves the chunks into one
+// batch and installs it in a single call.
+func installInterleaved(t TagStore, cores [][]trace.Run) {
+	cur := make([]runCursor, len(cores))
+	chunks := make([][]uint64, len(cores))
+	for i, runs := range cores {
+		cur[i].runs = runs
+		chunks[i] = make([]uint64, 0, prewarmChunk)
+	}
+	batch := make([]uint64, 0, len(cores)*prewarmChunk)
+	for {
+		longest := 0
+		for i := range cur {
+			chunks[i] = cur[i].take(chunks[i][:0], prewarmChunk)
+			longest = max(longest, len(chunks[i]))
+		}
+		if longest == 0 {
+			return
+		}
+		batch = batch[:0]
+		for k := range longest {
+			for _, chunk := range chunks {
+				if k < len(chunk) {
+					batch = append(batch, chunk[k])
+				}
+			}
+		}
+		t.Install(batch...)
+	}
+}
+
+// runCursor walks a core's warm runs: the next line is runs[0].First+off.
+type runCursor struct {
+	runs []trace.Run
+	off  uint64
+}
+
+// take appends up to n of the core's next warm lines to dst.
+func (c *runCursor) take(dst []uint64, n uint64) []uint64 {
+	for n > 0 && len(c.runs) > 0 {
+		r := c.runs[0]
+		k := min(n, r.Len-c.off)
+		for j := range k {
+			dst = append(dst, r.First+c.off+j)
+		}
+		c.off, n = c.off+k, n-k
+		if c.off == r.Len {
+			c.runs, c.off = c.runs[1:], 0
+		}
+	}
+	return dst
+}

@@ -1,0 +1,182 @@
+package dramcache
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"bear/internal/config"
+	"bear/internal/rng"
+	"bear/internal/trace"
+)
+
+// roundRobin calls install with every core's warm lines, expanded from its
+// runs, position by position and cores in index order, one line per call:
+// the plainest statement of the order Cache.Prewarm must reproduce.
+func roundRobin(cores [][]trace.Run, install func(line uint64)) {
+	run := make([]int, len(cores))    // the run holding each core's next line
+	off := make([]uint64, len(cores)) // that line's offset in its run
+	for {
+		any := false
+		for i, runs := range cores {
+			for run[i] < len(runs) && off[i] == runs[run[i]].Len {
+				run[i], off[i] = run[i]+1, 0
+			}
+			if run[i] < len(runs) {
+				install(runs[run[i]].First + off[i])
+				off[i]++
+				any = true
+			}
+		}
+		if !any {
+			return
+		}
+	}
+}
+
+// warmRuns is each core's warm runs as hier.Sim.prewarm collects them.
+func warmRuns(cfg config.System, wl trace.Workload) [][]trace.Run {
+	fair := uint64(cfg.CacheBytes) / config.TADBytes / uint64(len(wl.Sources))
+	cores := make([][]trace.Run, len(wl.Sources))
+	for i, src := range wl.Sources {
+		cores[i] = src.(trace.Prewarmer).PrewarmRuns(fair)
+	}
+	return cores
+}
+
+// TestPrewarmRunsMatchLineInstall pins the TAD store's run prewarm to the
+// per-line round-robin Install: the slot slabs must be byte-equal. The
+// workloads cover Rate mcf, xalanc and lbm and the MIX1 and MIX5 mixes,
+// whose per-core warm sets differ in length, from paper scale down to
+// 1/4096.
+func TestPrewarmRunsMatchLineInstall(t *testing.T) {
+	workloads := []struct {
+		name string
+		make func(cores, scale int) (trace.Workload, error)
+	}{
+		{"mcf", func(cores, scale int) (trace.Workload, error) { return trace.Rate("mcf", cores, scale, 1) }},
+		{"xalanc", func(cores, scale int) (trace.Workload, error) { return trace.Rate("xalanc", cores, scale, 1) }},
+		{"lbm", func(cores, scale int) (trace.Workload, error) { return trace.Rate("lbm", cores, scale, 1) }},
+		{"mix1", func(cores, scale int) (trace.Workload, error) { return trace.Mix(1, cores, scale, 1) }},
+		{"mix5", func(cores, scale int) (trace.Workload, error) { return trace.Mix(5, cores, scale, 1) }},
+	}
+	fx := newFixture()
+	for _, scale := range []int{1, 64, 256, 4096} {
+		cfg := config.Default(scale)
+		for _, w := range workloads {
+			t.Run(fmt.Sprintf("%s/scale=%d", w.name, scale), func(t *testing.T) {
+				wl, err := w.make(cfg.Core.Count, scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cores := warmRuns(cfg, wl)
+				ref := NewAlloy("ref", cfg.AlloySets(), fx.l4, fx.mem, Hooks{}, AlloyOpts{})
+				roundRobin(cores, func(line uint64) { ref.Install(line) })
+				got := NewAlloy("runs", cfg.AlloySets(), fx.l4, fx.mem, Hooks{}, AlloyOpts{})
+				got.Prewarm(cores)
+				if a, b := got.tags.(*tadTags).slots, ref.tags.(*tadTags).slots; !bytes.Equal(a, b) {
+					t.Fatalf("run prewarm slab differs from the per-line install at byte %d",
+						firstDiff(a, b))
+				}
+			})
+		}
+	}
+}
+
+// firstDiff is the first index at which a and b, of equal length, differ.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// recordTags is a TagStore that records the lines Install receives, in
+// order; it implements nothing else.
+type recordTags struct {
+	TagStore
+	lines []uint64
+}
+
+func (r *recordTags) Install(lines ...uint64) { r.lines = append(r.lines, lines...) }
+
+// TestInstallInterleavedMatchesRoundRobin pins the line path's batching:
+// the lines reach Install in the round-robin order whatever the batch
+// seams, with cores exhausted before the longest, empty cores, and warm
+// lengths on both sides of a prewarmChunk multiple.
+func TestInstallInterleavedMatchesRoundRobin(t *testing.T) {
+	cores := [][]trace.Run{
+		{{First: 100, Len: 3}, {First: 7, Len: prewarmChunk - 1}},
+		nil,
+		{{First: 1 << 40, Len: 2*prewarmChunk + 1}},
+		{{First: 5, Len: prewarmChunk}, {First: 0, Len: 1}},
+		{{First: 9, Len: 0}, {First: 9, Len: 2}},
+	}
+	var want []uint64
+	roundRobin(cores, func(line uint64) { want = append(want, line) })
+	got := &recordTags{}
+	installInterleaved(got, cores)
+	if !slices.Equal(got.lines, want) {
+		t.Fatalf("installInterleaved installed %d lines out of round-robin order (want %d lines)",
+			len(got.lines), len(want))
+	}
+}
+
+// FuzzPrewarmRuns drives both prewarm paths with random set counts and
+// random per-core run lists: runs of several cores overlapping on the same
+// sets, runs longer than the set count that wrap onto their own core, and
+// cores with no runs. The TAD store's slab must equal the per-line
+// round-robin Install's, starting from the same partly filled slab, and the
+// line path must hand Install the round-robin sequence.
+func FuzzPrewarmRuns(f *testing.F) {
+	for _, sets := range []uint64{1, 2, 3, 7, 28, 1000} {
+		for seed := range uint64(3) {
+			f.Add(sets, seed, uint8(4), uint8(3))
+		}
+	}
+	f.Add(uint64(5), uint64(9), uint8(8), uint8(6))
+	f.Fuzz(func(t *testing.T, sets, seed uint64, ncores, nruns uint8) {
+		sets = sets%(1<<10) + 1
+		r := rng.New(seed)
+		cores := make([][]trace.Run, ncores%8+1)
+		for i := range cores {
+			if r.Bool(0.2) {
+				continue // a core with no warm set
+			}
+			for range r.Intn(int(nruns%8) + 1) {
+				// Starts near the origin overlap across cores; a high
+				// base gives the lines large tags.
+				first := r.Uint64n(4 * sets)
+				if r.Bool(0.3) {
+					first += r.Uint64n(maxLine / 2)
+				}
+				cores[i] = append(cores[i], trace.Run{First: first, Len: r.Uint64n(3*sets + 2)})
+			}
+		}
+		fx := newFixture()
+		ref := NewAlloy("ref", sets, fx.l4, fx.mem, Hooks{}, AlloyOpts{})
+		got := NewAlloy("runs", sets, fx.l4, fx.mem, Hooks{}, AlloyOpts{})
+		for range r.Intn(int(sets)) {
+			line := r.Uint64n(maxLine)
+			ref.Install(line)
+			got.Install(line)
+		}
+		roundRobin(cores, func(line uint64) { ref.Install(line) })
+		got.Prewarm(cores)
+		if a, b := got.tags.(*tadTags).slots, ref.tags.(*tadTags).slots; !bytes.Equal(a, b) {
+			t.Fatalf("%d sets, runs %v: run prewarm slab differs from the per-line install at byte %d",
+				sets, cores, firstDiff(a, b))
+		}
+
+		var want []uint64
+		roundRobin(cores, func(line uint64) { want = append(want, line) })
+		rec := &recordTags{}
+		installInterleaved(rec, cores)
+		if !slices.Equal(rec.lines, want) {
+			t.Fatalf("runs %v: installInterleaved order differs from round-robin", cores)
+		}
+	})
+}

@@ -18,7 +18,3 @@ func NewSimHooks(cfg config.System, wl trace.Workload, warm, meas uint64,
 func (h *Hierarchy) AllHooks() dramcache.Hooks {
 	return dramcache.Hooks{OnEvict: h.onL4Evict, OnBackInvalidate: h.onBackInvalidate}
 }
-
-// PrewarmChunk is the number of warm lines Sim.prewarm takes per core per
-// step.
-const PrewarmChunk = prewarmChunk

@@ -16,14 +16,14 @@ import (
 // which makes Sim.prewarm leave that core's residency uninstalled.
 type hidePrewarmer struct{ trace.Source }
 
-// TestStreamedPrewarmMatchesListOrder pins Sim.prewarm's chunked install
-// order to the plainest statement of it: collect each core's warm set into
-// a list, then install the lists round-robin by position, one line per
-// call. For every design, on a Rate and a MIX workload, both L4s must hold
-// the same warm lines, and a short run of each must report the same result
-// digest. MIX1's benchmarks have footprints below and above the per-core
-// fair share, so the warm sets have unequal lengths: the round-robin runs
-// past exhausted cores and ends in a partial chunk.
+// TestStreamedPrewarmMatchesListOrder pins Sim.prewarm's run install
+// (Cache.Prewarm) to the plainest statement of it: expand each core's warm
+// runs into a list, then install the lists round-robin by position, one
+// line per call. For every design, on a Rate and a MIX workload, both L4s
+// must hold the same warm lines, and a short run of each must report the
+// same result digest. MIX1's benchmarks have footprints below and above
+// the per-core fair share, so the warm sets have unequal lengths and the
+// round-robin runs past exhausted cores.
 func TestStreamedPrewarmMatchesListOrder(t *testing.T) {
 	const warm, meas = 20000, 50000
 	p := exp.Quick()
@@ -61,7 +61,7 @@ func TestStreamedPrewarmMatchesListOrder(t *testing.T) {
 			chunked, lists := build(false)
 			listed, _ := build(true)
 			if w.name == "mix1" && d == config.Alloy {
-				checkUnevenChunks(t, lists)
+				checkUneven(t, lists)
 			}
 			for i, list := range lists {
 				for _, line := range list {
@@ -78,14 +78,17 @@ func TestStreamedPrewarmMatchesListOrder(t *testing.T) {
 	}
 }
 
-// warmLists collects each core's warm set as Sim.prewarm sizes it.
+// warmLists collects each core's warm set as Sim.prewarm sizes it, expanded
+// from its runs line by line.
 func warmLists(cfg config.System, srcs []trace.Source) [][]uint64 {
 	fair := uint64(cfg.CacheBytes) / config.TADBytes / uint64(len(srcs))
 	lists := make([][]uint64, len(srcs))
 	for i, src := range srcs {
-		p := src.(trace.Prewarmer)
-		lists[i] = make([]uint64, p.PrewarmLen(fair))
-		p.PrewarmLines(0, lists[i])
+		for _, r := range src.(trace.Prewarmer).PrewarmRuns(fair) {
+			for k := range r.Len {
+				lists[i] = append(lists[i], r.First+k)
+			}
+		}
 	}
 	return lists
 }
@@ -110,18 +113,16 @@ func installRoundRobin(sim *hier.Sim, lists [][]uint64) {
 	}
 }
 
-// checkUnevenChunks fails unless the warm sets exercise the chunking's edge
-// cases: several chunks, cores exhausted before the longest, and a partial
-// last chunk.
-func checkUnevenChunks(t *testing.T, lists [][]uint64) {
+// checkUneven fails unless the warm sets have unequal lengths, so the
+// round-robin runs past exhausted cores.
+func checkUneven(t *testing.T, lists [][]uint64) {
 	t.Helper()
 	shortest, longest := len(lists[0]), 0
 	for _, l := range lists {
 		shortest, longest = min(shortest, len(l)), max(longest, len(l))
 	}
-	if longest <= hier.PrewarmChunk || shortest == longest || longest%hier.PrewarmChunk == 0 {
-		t.Fatalf("warm sets of %d..%d lines miss the chunking's edge cases (chunk %d)",
-			shortest, longest, hier.PrewarmChunk)
+	if shortest == longest {
+		t.Fatalf("every warm set holds %d lines; want unequal lengths", longest)
 	}
 }
 

@@ -132,58 +132,19 @@ func newSim(cfg config.System, wl trace.Workload, warm, meas uint64, q *event.Qu
 	return s, nil
 }
 
-// prewarmChunk is the number of warm lines prewarm takes from each core per
-// step: large enough to amortise the per-call costs, small enough that the
-// chunks and their interleaving stay cache-resident.
-const prewarmChunk = 512
-
 // prewarm functionally installs each workload's steady-state residency into
-// the L4 before any timed instruction executes. Cores interleave line by
-// line, position by position, so that conflict evictions in the
-// direct-mapped designs are shared fairly, as they would be in steady
-// state. At paper scale the warm set is millions of lines per core, too
-// many to stage in lists, so lines stream in chunks: each step fills one
-// chunk per core, interleaves the chunks into one batch and installs it in
-// a single call.
+// the L4 before any timed instruction executes: each core's warm runs,
+// capped at its fair share of the TAD sets. Cache.Prewarm owns the order.
 func (s *Sim) prewarm() {
-	if s.Bundle.L4DRAM == nil {
-		return // NoL4: there is no cache to warm
-	}
 	cores := len(s.Workload.Sources)
 	fair := uint64(s.Cfg.CacheBytes) / config.TADBytes / uint64(cores)
-	warm := make([]trace.Prewarmer, cores)
-	lens := make([]uint64, cores)
-	longest := uint64(0)
+	runs := make([][]trace.Run, cores)
 	for i, src := range s.Workload.Sources {
-		p, ok := src.(trace.Prewarmer)
-		if !ok {
-			continue
+		if p, ok := src.(trace.Prewarmer); ok {
+			runs[i] = p.PrewarmRuns(fair)
 		}
-		warm[i], lens[i] = p, p.PrewarmLen(fair)
-		longest = max(longest, lens[i])
 	}
-	chunks := make([][]uint64, cores)
-	for i := range chunks {
-		chunks[i] = make([]uint64, prewarmChunk)
-	}
-	batch := make([]uint64, 0, cores*prewarmChunk)
-	for pos := uint64(0); pos < longest; pos += prewarmChunk {
-		n := min(prewarmChunk, longest-pos)
-		for i, p := range warm {
-			if pos < lens[i] {
-				p.PrewarmLines(pos, chunks[i][:min(n, lens[i]-pos)])
-			}
-		}
-		batch = batch[:0]
-		for k := range n {
-			for i := range warm {
-				if pos+k < lens[i] {
-					batch = append(batch, chunks[i][k])
-				}
-			}
-		}
-		s.Bundle.Cache.Install(batch...)
-	}
+	s.Bundle.Cache.Prewarm(runs)
 }
 
 func (s *Sim) onWarm(coreID int) {

@@ -41,19 +41,19 @@ type Source interface {
 }
 
 // Prewarmer is implemented by sources that can enumerate their steady-state
-// cache residency for functional warming. The residency is an indexed
-// sequence rather than a visitor, so the simulator streams it into the L4
-// in small chunks — interleaving cores line by line — without
-// materialising it.
+// cache residency for functional warming. The residency comes as runs of
+// consecutive lines, so the DRAM cache can warm a whole run at once instead
+// of line by line.
 type Prewarmer interface {
-	// PrewarmLen is the number of warm lines, capped at limit.
-	PrewarmLen(limit uint64) uint64
-	// PrewarmLines fills dst with warm lines from, from+1, ...,
-	// from+len(dst)-1, which must all lie below PrewarmLen. Lines are
-	// ordered by priority: a prefix of the sequence is the best warm set
-	// of that size.
-	PrewarmLines(from uint64, dst []uint64)
+	// PrewarmRuns returns the warm lines, capped at limit lines, as runs
+	// of consecutive lines with no empty run. Lines are ordered by
+	// priority: a prefix of the concatenated runs is the best warm set of
+	// that size.
+	PrewarmRuns(limit uint64) []Run
 }
+
+// Run is First, First+1, ..., First+Len-1: Len consecutive lines.
+type Run struct{ First, Len uint64 }
 
 // Benchmark describes one synthetic SPEC-like program. MPKI and FootprintMB
 // are the full-scale (1 GB cache) Table 2 values; FootprintMB is the total
@@ -196,38 +196,32 @@ func NewGen(b Benchmark, core int, scale int, seed uint64) *Gen {
 // Bench returns the benchmark this generator models.
 func (g *Gen) Bench() Benchmark { return g.b }
 
-// PrewarmLen and PrewarmLines enumerate the benchmark's steady-state
-// DRAM-cache residency: the hot set first (its reuse keeps it resident),
-// then the rest of the footprint in address order with the hot range
-// skipped. The simulator installs a prefix of these lines functionally
-// before timing starts, standing in for the SimPoint functional-warming the
-// paper's 1B-instruction runs perform implicitly.
+// PrewarmRuns implements Prewarmer. It enumerates the benchmark's
+// steady-state DRAM-cache residency: the hot set first (its reuse keeps it
+// resident), then the rest of the footprint in address order with the hot
+// range skipped. That is three runs — the hot range, the footprint below
+// it, the footprint above it — cut to limit lines. The simulator installs
+// them functionally before timing starts, standing in for the SimPoint
+// functional-warming the paper's 1B-instruction runs perform implicitly.
 //
-// The hot set lies inside the footprint, so the sequence holds exactly
+// The hot set lies inside the footprint, so the runs hold at most
 // footLines distinct lines.
-func (g *Gen) PrewarmLen(limit uint64) uint64 { return min(limit, g.footLines) }
-
-// PrewarmLines implements Prewarmer. The sequence is three runs of
-// consecutive lines — the hot range, the footprint below it, the footprint
-// above it — so dst fills run by run.
-func (g *Gen) PrewarmLines(from uint64, dst []uint64) {
+func (g *Gen) PrewarmRuns(limit uint64) []Run {
 	lead := g.hotBase - g.base
-	for i := from; len(dst) > 0; {
-		var first, run uint64 // the run holding warm line i
-		switch {
-		case i < g.hotLines:
-			first, run = g.hotBase+i, g.hotLines-i
-		case i-g.hotLines < lead:
-			first, run = g.base+i-g.hotLines, lead-(i-g.hotLines)
-		default: // above the hot range: the index steps over it
-			first, run = g.base+i, uint64(len(dst))
-		}
-		n := min(run, uint64(len(dst)))
-		for k := range n {
-			dst[k] = first + k
-		}
-		dst, i = dst[n:], i+n
+	all := [3]Run{
+		{g.hotBase, g.hotLines},
+		{g.base, lead},
+		{g.hotBase + g.hotLines, g.footLines - lead - g.hotLines},
 	}
+	runs := make([]Run, 0, len(all))
+	for _, r := range all {
+		r.Len = min(r.Len, limit)
+		if r.Len > 0 {
+			runs = append(runs, r)
+			limit -= r.Len
+		}
+	}
+	return runs
 }
 
 // FootprintLines returns the scaled per-core footprint in lines.

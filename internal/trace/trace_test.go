@@ -222,8 +222,8 @@ func TestFootprintScaling(t *testing.T) {
 }
 
 // refPrewarm is the warm-set enumeration written as a plain loop over the
-// hot set and then the footprint: the reference PrewarmLen and PrewarmLines
-// must reproduce line for line.
+// hot set and then the footprint: the lines PrewarmRuns expands to must
+// reproduce it line for line.
 func refPrewarm(g *Gen, limit uint64, visit func(line uint64)) {
 	n := uint64(0)
 	for i := uint64(0); i < g.hotLines && n < limit; i++ {
@@ -242,7 +242,9 @@ func refPrewarm(g *Gen, limit uint64, visit func(line uint64)) {
 
 // forEachPrewarmCase runs check over every catalog benchmark at scales from
 // paper size (1) to the footprint floor (1<<30), each at limits 0, 1, 5000,
-// the simulator's fair share per core, and one above the footprint.
+// the simulator's fair share per core, one above the footprint, and the
+// run seams: one short of the hot set, the hot set, the hot set plus the
+// footprint below it, and the whole footprint.
 func forEachPrewarmCase(t *testing.T, check func(t *testing.T, g *Gen, limit uint64)) {
 	t.Helper()
 	for _, b := range Catalog {
@@ -250,7 +252,9 @@ func forEachPrewarmCase(t *testing.T, check func(t *testing.T, g *Gen, limit uin
 			cfg := config.Default(scale)
 			g := NewGen(b, 3, scale, 1)
 			fair := uint64(cfg.CacheBytes) / config.TADBytes / uint64(cfg.Core.Count)
-			for _, limit := range []uint64{0, 1, 5000, fair, g.footLines + 1} {
+			lead := g.hotBase - g.base
+			for _, limit := range []uint64{0, 1, 5000, fair, g.footLines + 1,
+				g.hotLines - min(g.hotLines, 1), g.hotLines, g.hotLines + lead, g.footLines} {
 				t.Run(fmt.Sprintf("%s/scale=%d/limit=%d", b.Name, scale, limit), func(t *testing.T) {
 					check(t, g, limit)
 				})
@@ -259,89 +263,60 @@ func forEachPrewarmCase(t *testing.T, check func(t *testing.T, g *Gen, limit uin
 	}
 }
 
-// TestPrewarm pins the chunked enumeration to refPrewarm: same count, same
-// lines, same order, read in consecutive chunks of several sizes. It also
-// reads one chunk straddling each seam of the sequence — hot range to lower
-// footprint, lower to upper footprint — which a chunk size that divides the
-// seam's index would never do.
+// TestPrewarm pins PrewarmRuns to refPrewarm: its runs, expanded line by
+// line, visit the same lines in the same order.
 func TestPrewarm(t *testing.T) {
 	forEachPrewarmCase(t, func(t *testing.T, g *Gen, limit uint64) {
-		n := g.PrewarmLen(limit)
-		type window struct{ from, to uint64 }
-		var seams []window
-		for _, seam := range []uint64{g.hotLines, g.hotLines + g.hotBase - g.base} {
-			if w := (window{seam - min(seam, 3), min(seam+4, n)}); w.from < w.to {
-				seams = append(seams, w)
-			}
-		}
-		ref := make(map[uint64]uint64) // the reference lines inside the seam windows
-		chunks := make([][]uint64, 3)
-		for c, size := range []int{1, 7, 4096} {
-			chunks[c] = make([]uint64, size)
-		}
+		runs := g.PrewarmRuns(limit)
+		k, off := 0, uint64(0) // the next warm line is runs[k].First+off
 		i := uint64(0)
 		refPrewarm(g, limit, func(line uint64) {
-			if i < n {
-				for _, chunk := range chunks {
-					size := uint64(len(chunk))
-					if i%size == 0 {
-						g.PrewarmLines(i, chunk[:min(size, n-i)])
-					}
-					if got := chunk[i%size]; got != line {
-						t.Fatalf("chunks of %d: line %d = %d, reference visits %d", size, i, got, line)
-					}
-				}
-				for _, w := range seams {
-					if i >= w.from && i < w.to {
-						ref[i] = line
-					}
-				}
+			if k == len(runs) {
+				t.Fatalf("runs end after %d lines, reference visits line %d = %d", i, i, line)
+			}
+			if got := runs[k].First + off; got != line {
+				t.Fatalf("run %d line %d = %d, reference visits %d", k, i, got, line)
+			}
+			if off++; off == runs[k].Len {
+				k, off = k+1, 0
 			}
 			i++
 		})
-		if i != n {
-			t.Fatalf("PrewarmLen = %d, reference visits %d lines", n, i)
-		}
-		for _, w := range seams {
-			dst := make([]uint64, w.to-w.from)
-			g.PrewarmLines(w.from, dst)
-			for k, got := range dst {
-				if want := ref[w.from+uint64(k)]; got != want {
-					t.Fatalf("PrewarmLines(%d, [%d]) line %d = %d, reference visits %d",
-						w.from, len(dst), w.from+uint64(k), got, want)
-				}
-			}
+		if k != len(runs) {
+			t.Fatalf("reference visits %d lines, runs %v hold more", i, runs)
 		}
 	})
 }
 
-// TestPrewarmProperty checks the warm set's contract directly: its size is
-// min(limit, footprint), every line lies in the footprint, none repeats,
-// and the hot set comes first.
+// TestPrewarmProperty checks the warm set's contract directly: no run is
+// empty, the runs hold min(limit, footprint) lines, every line lies in the
+// footprint, none repeats, and the hot set comes first.
 func TestPrewarmProperty(t *testing.T) {
 	forEachPrewarmCase(t, func(t *testing.T, g *Gen, limit uint64) {
-		n := g.PrewarmLen(limit)
-		if want := min(limit, g.footLines); n != want {
-			t.Fatalf("PrewarmLen = %d, want %d", n, want)
-		}
+		runs := g.PrewarmRuns(limit)
 		seen := make([]uint64, (g.footLines+63)/64)
-		chunk := make([]uint64, 1000)
-		for i := uint64(0); i < n; i++ {
-			if i%1000 == 0 {
-				g.PrewarmLines(i, chunk[:min(1000, n-i)])
+		i := uint64(0)
+		for _, r := range runs {
+			if r.Len == 0 {
+				t.Fatalf("empty run in %v", runs)
 			}
-			line := chunk[i%1000]
-			if line < g.base || line >= g.base+g.footLines {
-				t.Fatalf("warm line %d = %d outside footprint", i, line)
+			for line := r.First; line < r.First+r.Len; line++ {
+				if line < g.base || line >= g.base+g.footLines {
+					t.Fatalf("warm line %d = %d outside footprint", i, line)
+				}
+				off := line - g.base
+				if seen[off/64]&(1<<(off%64)) != 0 {
+					t.Fatalf("warm line %d = %d repeats", i, line)
+				}
+				seen[off/64] |= 1 << (off % 64)
+				if i < g.hotLines && line != g.hotBase+i {
+					t.Fatalf("warm line %d = %d, want hot line %d first", i, line, g.hotBase+i)
+				}
+				i++
 			}
-			off := line - g.base
-			if seen[off/64]&(1<<(off%64)) != 0 {
-				t.Fatalf("warm line %d = %d repeats", i, line)
-			}
-			seen[off/64] |= 1 << (off % 64)
-			if i < g.hotLines && line != g.hotBase+i {
-				t.Fatalf("warm line %d = %d, want hot line %d first", i, line, g.hotBase+i)
-			}
+		}
+		if want := min(limit, g.footLines); i != want {
+			t.Fatalf("runs hold %d lines, want %d", i, want)
 		}
 	})
 }

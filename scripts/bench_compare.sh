@@ -5,7 +5,10 @@
 # percentages are regressions (the newer snapshot is slower). It exits
 # non-zero on a ns/instr regression above 5%, or when any design's set-up
 # MB/op rises by more than 1%: the set-up footprint is deterministic, so
-# unlike a timing it needs no noise allowance.
+# unlike a timing it needs no noise allowance. It also exits non-zero when
+# a paired row (see below) has a median change/base ratio above 1.05 and
+# the change lost at least 9 in 10 of its pairs: a same-session
+# regression, which a diff of two sessions' minima cannot show.
 #
 # Snapshots record the per-name minimum over bench.sh's COUNT samples, so
 # within one session a diff compares minima against minima, never a single
@@ -79,7 +82,15 @@ END { exit bad }' "$tmp/old" "$tmp/new" || bad=1
 
 if grep -q '"paired"' "$new"; then
 	echo "same-session pairs in $new (change/base against $(sed -n 's/.*"base": *"\([^"]*\)".*/\1/p' "$new" | head -n 1)):"
-	sed -n 's/.*"name": *"\([^"]*\)", *"metric": *"\([^"]*\)", *"base": *\([^,]*\), *"change": *\([^,]*\), *"ratio": *\([^,]*\), *"won": *\([0-9]*\), *"pairs": *\([0-9]*\).*/\1 \2 \3 \4 \5 \6 \7/p' "$new" |
-		awk '{ printf "%-24s %-12s %10s -> %10s  ratio x%s  won %s of %s\n", $1, $2, $3, $4, $5, $6, $7 }'
+	sed -n 's/.*"name": *"\([^"]*\)", *"metric": *"\([^"]*\)", *"base": *\([^,]*\), *"change": *\([^,]*\), *"ratio": *\([^,]*\), *"won": *\([0-9]*\), *"pairs": *\([0-9]*\).*/\1 \2 \3 \4 \5 \6 \7/p' "$new" >"$tmp/pairs"
+	awk '{
+		printf "%-24s %-12s %10s -> %10s  ratio x%s  won %s of %s\n", $1, $2, $3, $4, $5, $6, $7
+		lost = $7 - $6
+		if ($5 > 1.05 && lost * 10 >= $7 * 9) {
+			printf "%-24s lost %d of %d pairs at a median ratio above x1.05\n", $1, lost, $7
+			bad = 1
+		}
+	}
+	END { exit bad }' "$tmp/pairs" || bad=1
 fi
 exit "${bad:-0}"

@@ -66,6 +66,10 @@ go test -run '^$' -fuzz FuzzTADSetIndex -fuzztime 10s ./internal/dramcache
 # decode back to the written line and dirty bit and leave both neighbouring
 # slots untouched.
 go test -run '^$' -fuzz FuzzTADSlots -fuzztime 10s ./internal/dramcache
+# And for its run prewarm: random set counts and per-core run lists, with
+# cross-core overlaps and runs that wrap onto their own core, must leave the
+# slots exactly as the per-line round-robin Install does.
+go test -run '^$' -fuzz FuzzPrewarmRuns -fuzztime 10s ./internal/dramcache
 
 # perfbench is its own module (perfbench/go.mod), so `./...` and simlint
 # stop at it. Vet and test it here so the benchmark's output checks keep
