@@ -1,6 +1,6 @@
 // Command simlint is the repository's static analyzer: it enforces the
 // determinism, hot-path alloc-freedom, pool-discipline, engine-contract,
-// byte-attribution, event-time and stats-census invariants described in
+// typed-invariant, event-time and stats-census invariants described in
 // ARCHITECTURE.md ("Enforced invariants"), using only the Go standard
 // library.
 //
@@ -173,8 +173,6 @@ func emit(found []finding, jsonOut bool) {
 //   - the typed-invariant rule (no bare string panics) covers the engine
 //     packages whose panics cross the fault-isolation recover in
 //     internal/exp and must arrive classifiable;
-//   - the bytes rule guards the DRAM-cache engine, the only package that
-//     enqueues DRAM-cache bus transfers;
 //   - the timeflow rule covers every package that schedules events;
 //   - the stats census needs the whole program to see both producers and
 //     consumers, so it runs only on full ./... invocations.
@@ -199,7 +197,6 @@ func repoConfig(module string, full bool) lint.Config {
 		},
 		MapRange:       func(path string) bool { return true },
 		InvariantPanic: func(path string) bool { return engine[path] },
-		Bytes:          func(path string) bool { return path == internal+"dramcache" },
 		Timeflow:       func(path string) bool { return timed[path] },
 		StatsFields: func(path string) bool {
 			return full && path == internal+"stats"

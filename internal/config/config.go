@@ -213,7 +213,9 @@ type System struct {
 	SectorBytes int
 	// PageBytes is the allocation-block (page) size for the page-grained
 	// Banshee and TicToc designs (4 KB, both papers). This is the
-	// granularity knob: Layout.Gran.BlockLines = PageBytes / LineBytes.
+	// granularity knob: each page tag covers PageBytes / LineBytes lines, and
+	// the tag store reports page fills and dirty-line victims through
+	// FillResult.
 	PageBytes int
 	// TISUseDIP selects DIP instead of LRU insertion for the TIS design
 	// (the lifted dipFill policy composed over sramTags; abl-dip sweeps it).

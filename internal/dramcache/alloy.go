@@ -376,7 +376,6 @@ func (w alloyWB) Allocate() bool { return w.allocate }
 // Alloy-family transfer sizes (bytes): every operation on the TAD array
 // moves one 80 B burst (tag + data), except the idealised BW-Opt cache.
 var alloyLayout = Layout{
-	Gran:           GranLine,
 	HitBytes:       80,
 	UpdateBytes:    80,
 	MissProbeBytes: 80,
@@ -388,7 +387,7 @@ var alloyLayout = Layout{
 // bwOptLayout is the Bandwidth-Optimized ideal: hits move exactly 64 B and
 // all secondary operations are logical (zero-byte fills settle victims at
 // issue; writebacks update state for free).
-var bwOptLayout = Layout{Gran: GranLine, HitBytes: 64}
+var bwOptLayout = Layout{HitBytes: 64}
 
 // NewAlloy composes an Alloy-family cache with the given set count over the
 // stacked-DRAM l4 and main memory mem.

@@ -138,7 +138,6 @@ func (w bansheeWB) Allocate() bool { return false }
 // Reads never probe (tags on chip); unbuffered writebacks pay a 64 B
 // dirty probe.
 var bansheeLayout = Layout{
-	Gran:            GranPage,
 	HitBytes:        64,
 	FillBytes:       64,
 	VictimReadBytes: 64,
@@ -151,7 +150,6 @@ var bansheeLayout = Layout{
 func NewBanshee(name string, lines, pageLines uint64, ways int, l4 *dram.Memory, mem *MainMemory, hooks Hooks) *Banshee {
 	checkPageGeometry(lines, pageLines)
 	c := &Controller{name: name, lay: bansheeLayout, l4: l4, mem: mem, hooks: hooks}
-	c.lay.Gran = Granularity{BlockLines: pageLines, SubBlocked: true}
 	pt := newPageTags(c, lines, pageLines, ways, true)
 	c.tags = pt
 

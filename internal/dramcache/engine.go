@@ -31,26 +31,6 @@ type Location struct {
 	Row    uint64
 }
 
-// Granularity declares a design's allocation unit: how many 64 B lines one
-// tag covers, and whether the tag store keeps per-line (sub-block)
-// valid/dirty state inside each block. Line-grained designs tag every line
-// (GranLine); the page-grained Banshee/TicToc family tags 4 KB frames
-// (GranPage) and tracks residency and dirtiness per sub-block. The engine
-// reads the unit off FillResult (FillLines, VictimDirtyMask) rather than
-// off Gran — the two must agree, and simlint's gran rule enforces that
-// every Layout composition declares its unit.
-type Granularity struct {
-	BlockLines uint64 // 64 B lines per allocation block (1 = line-grained)
-	SubBlocked bool   // per-line valid/dirty bits are kept within a block
-}
-
-// GranLine is the 64 B line unit every BEAR-paper design uses.
-var GranLine = Granularity{BlockLines: 1}
-
-// GranPage is the 4 KB page unit of the Banshee/TicToc family, with
-// sub-block (per-line) valid/dirty tracking within each frame.
-var GranPage = Granularity{BlockLines: 64, SubBlocked: true}
-
 // Layout declares the bus-transfer sizes of one design, in bytes. A zero
 // field disables the corresponding transfer: TagBytes == 0 means hits are a
 // single read, MissProbeBytes == 0 means misses never probe (the tags are
@@ -64,10 +44,6 @@ var GranPage = Granularity{BlockLines: 64, SubBlocked: true}
 // (FillResult.VictimDirtyMask), so page-grained designs account page fills
 // and partial-page writebacks without a second engine.
 type Layout struct {
-	// Gran is the design's allocation unit. Every composition must set it
-	// (simlint: gran); line-grained designs use GranLine.
-	Gran Granularity
-
 	// Hit path.
 	HitBytes     int  // the read that services a hit (the only useful bytes)
 	TagBytes     int  // separate tag read chained before the data read (Loh-Hill)
@@ -237,10 +213,17 @@ type txn struct {
 	fillLines   int    // sub-blocks the fill moves (0 or 1: one unit)
 	pendingBoth int    // parallel path: completions still outstanding
 
-	fnHit, fnHitTag, fnMissMem, fnBothProbe event.Func
-	fnBothMem, fnSerialProbe, fnSerialMem   event.Func
-	fnWBProbe                               event.Func
-	next                                    *txn
+	// The one probe or hit read in flight (see probe): its bloat category,
+	// its size and the step that follows it.
+	probeCat   stats.Category
+	probeBytes int
+	then       event.Func
+
+	fnProbe, fnHit, fnHitTag, fnMissMem event.Func
+	fnBoth, fnBothMem                   event.Func
+	fnSerialProbe, fnSerialMem          event.Func
+	fnWBProbe                           event.Func
+	next                                *txn
 }
 
 //bear:acquire
@@ -248,10 +231,11 @@ func (c *Controller) getTxn() *txn {
 	x := c.txnFree
 	if x == nil {
 		x = &txn{c: c}
+		x.fnProbe = x.onProbe
 		x.fnHit = x.onHit
 		x.fnHitTag = x.onHitTag
 		x.fnMissMem = x.onMissMem
-		x.fnBothProbe = x.onBothProbe
+		x.fnBoth = x.both
 		x.fnBothMem = x.onBothMem
 		x.fnSerialProbe = x.onSerialProbe
 		x.fnSerialMem = x.onSerialMem
@@ -279,23 +263,47 @@ func (c *Controller) putTxn(x *txn) {
 // has drained (the pool-leak invariant checked by integration tests).
 func (c *Controller) OutstandingTxns() int { return c.live }
 
-// l4Read enqueues a DRAM-cache bus read. Every call site must attribute the
-// same byte expression to a bloat category, or carry //bear:deferred when the
-// attribution happens in the completion callback fn.
+// The three charging points below are the only places the engine charges
+// DRAM-cache bus bytes: each takes the bloat category with the size, so a
+// transfer cannot be enqueued without landing in exactly one category.
+// Writes and victim reads charge at enqueue; probe and hit reads charge at
+// completion (probe). The stats reset at the warm boundary runs while
+// transfers are in flight, so a probe issued in warm-up that completes after
+// it counts in the measured window, and the golden outputs pin that split.
+
+// l4Read charges bytes to cat and enqueues a DRAM-cache bus read whose
+// completion runs fn (victim recovery reads).
 //
-//bear:enqueue read bytes=2
 //bear:clock at
-func (c *Controller) l4Read(at uint64, loc Location, bytes int, fn event.Func) {
+func (c *Controller) l4Read(at uint64, loc Location, cat stats.Category, bytes int, fn event.Func) {
+	c.st.AddBytes(cat, bytes)
 	c.l4.Read(at, loc.Ch, loc.Bk, loc.Row, bytes, fn)
 }
 
-// l4Write enqueues a DRAM-cache bus write; same attribution contract as
-// l4Read, but writes attribute at enqueue on the same path.
+// l4Write charges bytes to cat and enqueues a DRAM-cache bus write.
 //
-//bear:enqueue write bytes=2
 //bear:clock at
-func (c *Controller) l4Write(at uint64, loc Location, bytes int) {
+func (c *Controller) l4Write(at uint64, loc Location, cat stats.Category, bytes int) {
+	c.st.AddBytes(cat, bytes)
 	c.l4.Write(at, loc.Ch, loc.Bk, loc.Row, bytes)
+}
+
+// probe enqueues the transaction's probe or hit read; onProbe charges bytes
+// to cat when it completes and then runs then. A transaction has at most one
+// such read in flight, so one slot on the txn holds its charge.
+//
+//bear:clock at
+func (x *txn) probe(at uint64, loc Location, cat stats.Category, bytes int, then event.Func) {
+	x.probeCat, x.probeBytes, x.then = cat, bytes, then
+	x.c.l4.Read(at, loc.Ch, loc.Bk, loc.Row, bytes, x.fnProbe)
+}
+
+// onProbe completes a probe: charge it, then run the step it gates.
+//
+//bear:hotpath
+func (x *txn) onProbe(t uint64) {
+	x.c.st.AddBytes(x.probeCat, x.probeBytes)
+	x.then(t)
 }
 
 // onHitTag completes a chained tag read; the data line follows from the
@@ -303,9 +311,7 @@ func (c *Controller) l4Write(at uint64, loc Location, bytes int) {
 //
 //bear:hotpath
 func (x *txn) onHitTag(t uint64) {
-	c := x.c
-	c.st.AddBytes(stats.HitProbe, c.lay.TagBytes)
-	c.l4Read(t, x.loc, c.lay.HitBytes, x.fnHit) //bear:deferred HitProbe
+	x.probe(t, x.loc, stats.HitProbe, x.c.lay.HitBytes, x.fnHit)
 }
 
 // onHit completes a hit's probe: the probe is the useful data transfer.
@@ -314,11 +320,9 @@ func (x *txn) onHitTag(t uint64) {
 //bear:hotpath
 func (x *txn) onHit(t uint64) {
 	c := x.c
-	c.st.AddBytes(stats.HitProbe, c.lay.HitBytes)
 	c.st.Hit(t - x.now)
 	if x.update {
-		c.st.AddBytes(stats.ReplUpdate, c.lay.UpdateBytes)
-		c.l4Write(t, x.loc, c.lay.UpdateBytes)
+		c.l4Write(t, x.loc, stats.ReplUpdate, c.lay.UpdateBytes)
 	}
 	done := x.done
 	c.putTxn(x)
@@ -342,8 +346,7 @@ func (x *txn) fillAt(t uint64) {
 	if x.fillLines > 1 {
 		fillBytes *= x.fillLines
 	}
-	c.st.AddBytes(stats.MissFill, fillBytes)
-	c.l4Write(t, x.loc, fillBytes)
+	c.l4Write(t, x.loc, stats.MissFill, fillBytes)
 	if x.victimValid && x.victimDirty {
 		if c.lay.VictimReadBytes > 0 {
 			// The victim's data must be read back before it is lost.
@@ -351,8 +354,7 @@ func (x *txn) fillAt(t uint64) {
 			if x.victimMask != 0 {
 				vb *= bits.OnesCount64(x.victimMask)
 			}
-			c.st.AddBytes(stats.VictimRead, vb)
-			c.l4Read(t, x.loc, vb, c.mem.VictimFwd(x.victimLine, x.victimMask))
+			c.l4Read(t, x.loc, stats.VictimRead, vb, c.mem.VictimFwd(x.victimLine, x.victimMask))
 		} else {
 			c.mem.WriteLine(t, x.victimLine)
 		}
@@ -391,12 +393,6 @@ func (x *txn) both(t uint64) {
 }
 
 //bear:hotpath
-func (x *txn) onBothProbe(t uint64) {
-	x.c.st.AddBytes(stats.MissProbe, x.c.lay.MissProbeBytes)
-	x.both(t)
-}
-
-//bear:hotpath
 func (x *txn) onBothMem(t uint64) {
 	x.fillAt(t)
 	x.both(t)
@@ -407,7 +403,6 @@ func (x *txn) onBothMem(t uint64) {
 //
 //bear:hotpath
 func (x *txn) onSerialProbe(t uint64) {
-	x.c.st.AddBytes(stats.MissProbe, x.c.lay.MissProbeBytes)
 	x.c.mem.ReadLine(t, x.line, x.fnSerialMem)
 }
 
@@ -423,18 +418,15 @@ func (x *txn) onSerialMem(t uint64) {
 //bear:hotpath
 func (x *txn) onWBProbe(t uint64) {
 	c := x.c
-	c.st.AddBytes(stats.WBProbe, c.lay.WBProbeBytes)
 	switch {
 	case x.hit:
 		c.st.WBHits++
-		c.st.AddBytes(stats.WBUpdate, c.lay.WBUpdateBytes)
-		c.l4Write(t, x.loc, c.lay.WBUpdateBytes)
+		c.l4Write(t, x.loc, stats.WBUpdate, c.lay.WBUpdateBytes)
 	case x.filled:
 		// Writeback Fill: the line was installed at issue; pay for it now
 		// and recover the dirty victim it displaced.
 		c.st.WBMisses++
-		c.st.AddBytes(stats.WBFill, c.lay.WBUpdateBytes)
-		c.l4Write(t, x.loc, c.lay.WBUpdateBytes)
+		c.l4Write(t, x.loc, stats.WBFill, c.lay.WBUpdateBytes)
 		if x.victimValid && x.victimDirty {
 			c.mem.WriteLine(t, x.victimLine)
 		}
@@ -519,9 +511,9 @@ func (c *Controller) Read(now uint64, coreID int, line, pc uint64, done func(uin
 		x.now, x.loc, x.done = now, p.Loc, done
 		x.update = c.lay.UpdateAlways || (c.fill != nil && c.fill.OnHit(p.Set))
 		if c.lay.TagBytes > 0 {
-			c.l4Read(start, p.Loc, c.lay.TagBytes, x.fnHitTag) //bear:deferred HitProbe
+			x.probe(start, p.Loc, stats.HitProbe, c.lay.TagBytes, x.fnHitTag)
 		} else {
-			c.l4Read(start, p.Loc, c.lay.HitBytes, x.fnHit) //bear:deferred HitProbe
+			x.probe(start, p.Loc, stats.HitProbe, c.lay.HitBytes, x.fnHit)
 		}
 		if !predHit {
 			if known && present {
@@ -588,10 +580,10 @@ func (c *Controller) Read(now uint64, coreID int, line, pc uint64, done func(uin
 		c.mem.ReadLine(start, line, x.fnMissMem)
 	case parallel:
 		x.pendingBoth = 2
-		c.l4Read(start, x.loc, c.lay.MissProbeBytes, x.fnBothProbe) //bear:deferred MissProbe
+		x.probe(start, x.loc, stats.MissProbe, c.lay.MissProbeBytes, x.fnBoth)
 		c.mem.ReadLine(start, line, x.fnBothMem)
 	default:
-		c.l4Read(start, x.loc, c.lay.MissProbeBytes, x.fnSerialProbe) //bear:deferred MissProbe
+		x.probe(start, x.loc, stats.MissProbe, c.lay.MissProbeBytes, x.fnSerialProbe)
 	}
 }
 
@@ -620,15 +612,13 @@ func (c *Controller) Writeback(now uint64, coreID int, line uint64, pres core.Pr
 				c.filter.Sync(p.Set, p.Block)
 			}
 			if c.lay.WBUpdateBytes > 0 {
-				c.st.AddBytes(stats.WBUpdate, c.lay.WBUpdateBytes)
-				c.l4Write(start, p.Loc, c.lay.WBUpdateBytes)
+				c.l4Write(start, p.Loc, stats.WBUpdate, c.lay.WBUpdateBytes)
 			}
 		case p.FreeFill:
 			// Resident sector/page, absent line: install in place, no victim.
 			fr := c.tags.WritebackFill(now, line)
 			c.st.WBHits++
-			c.st.AddBytes(stats.WBFill, c.lay.WBUpdateBytes)
-			c.l4Write(start, fr.Loc, c.lay.WBUpdateBytes)
+			c.l4Write(start, fr.Loc, stats.WBFill, c.lay.WBUpdateBytes)
 		default:
 			if presKnown {
 				c.st.DCPProbesSaved++
@@ -663,7 +653,7 @@ func (c *Controller) Writeback(now uint64, coreID int, line uint64, pres core.Pr
 			c.filter.Sync(p.Set, p.Block)
 		}
 	}
-	c.l4Read(start, x.loc, c.lay.WBProbeBytes, x.fnWBProbe) //bear:deferred WBProbe
+	x.probe(start, x.loc, stats.WBProbe, c.lay.WBProbeBytes, x.fnWBProbe)
 }
 
 var _ Cache = (*Controller)(nil)

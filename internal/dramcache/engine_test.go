@@ -3,7 +3,10 @@ package dramcache
 import (
 	"testing"
 
+	"bear/internal/config"
 	"bear/internal/core"
+	"bear/internal/event"
+	"bear/internal/stats"
 )
 
 // nopDone is a shared no-op read completion so the alloc test's hot loop
@@ -83,6 +86,93 @@ func TestControllerAllocFree(t *testing.T) {
 				t.Fatalf("%s: %d transactions leaked after drain", b.name, n)
 			}
 		})
+	}
+}
+
+// TestBytesConserved is the byte-conservation oracle behind the bloat
+// decomposition: every byte the DRAM-cache bus moves is charged to exactly
+// one bloat category, so once the queue drains the categories sum to the
+// L4 DRAM's own read and write byte counts, for every design Build wires
+// (and Alloy under writeback-allocate, the probed Writeback Fill path).
+// The stream mixes reads over a working set twice the cache (hits, misses
+// with dirty victims) with writebacks of unknown and of known presence
+// (writeback probes, and the DCP-settled updates, fills and forwards).
+func TestBytesConserved(t *testing.T) {
+	type tc struct {
+		name string
+		cfg  config.System
+	}
+	var cases []tc
+	for _, d := range []config.Design{
+		config.NoL4, config.Alloy, config.BEAR, config.BWOpt,
+		config.LohHill, config.MostlyClean, config.InclAlloy,
+		config.TIS, config.Sector, config.Banshee, config.TicToc,
+	} {
+		cases = append(cases, tc{d.String(), config.Default(4096).WithDesign(d)})
+	}
+	wbAlloc := config.Default(4096).WithDesign(config.Alloy)
+	wbAlloc.WBAllocate = true
+	cases = append(cases, tc{"Alloy-WBAllocate", wbAlloc})
+
+	charged := map[stats.Category]bool{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := &event.Queue{}
+			b, err := Build(tc.cfg, q, Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := b.Cache
+			lines := 2 * uint64(tc.cfg.CacheBytes) / config.LineBytes
+			x := uint64(1)
+			for i := 0; i < 16*1024; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				line := (x >> 33) % lines
+				c.Read(q.Now(), 0, line, 0x400+(line&63)<<3, nopDone)
+				switch i % 4 {
+				case 1:
+					c.Writeback(q.Now(), 0, line, core.PresUnknown)
+				case 3:
+					// A neighbour: often absent, or a free fill into a
+					// resident sector or page.
+					wb := line ^ 1
+					pres := core.PresAbsent
+					if c.Contains(wb) {
+						pres = core.PresPresent
+					}
+					c.Writeback(q.Now(), 0, wb, pres)
+				}
+				if i%64 == 63 {
+					q.Run(nil)
+				}
+			}
+			q.Run(nil)
+
+			st := c.Stats()
+			if tc.cfg.Design == config.NoL4 {
+				if st.TotalBytes() != 0 || b.L4DRAM != nil {
+					t.Fatalf("NoL4 charged %v bytes (L4 DRAM %v)", st.Bytes, b.L4DRAM)
+				}
+				return
+			}
+			if st.ReadHits == 0 || st.ReadMisses == 0 {
+				t.Fatalf("stream missed a path: %d hits, %d misses", st.ReadHits, st.ReadMisses)
+			}
+			moved := b.L4DRAM.Stats.ReadBytes + b.L4DRAM.Stats.WriteBytes
+			if got := st.TotalBytes(); got != moved {
+				t.Errorf("categories sum to %d bytes, L4 bus moved %d (by category: %v)", got, moved, st.Bytes)
+			}
+			for _, cat := range stats.Categories() {
+				if st.Bytes[cat] > 0 {
+					charged[cat] = true
+				}
+			}
+		})
+	}
+	for _, cat := range stats.Categories() {
+		if !charged[cat] {
+			t.Errorf("no design charged %v: the stream leaves a transfer path unchecked", cat)
+		}
 	}
 }
 

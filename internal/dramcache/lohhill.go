@@ -149,8 +149,7 @@ func (t *lhTags) missMapEvict(line uint64) {
 	}
 	if ln.Dirty {
 		set := t.tags.SetIndex(line)
-		t.c.st.AddBytes(stats.VictimRead, lhDataBytes)
-		t.c.l4Read(t.lastNow, t.locate(set), lhDataBytes, t.c.mem.VictimFwd(line, 0))
+		t.c.l4Read(t.lastNow, t.locate(set), stats.VictimRead, lhDataBytes, t.c.mem.VictimFwd(line, 0))
 	}
 }
 
@@ -165,7 +164,6 @@ const (
 // then unconditionally re-write LRU state (footnote 3's replacement-update
 // bloat); misses fill without probing (presence was already answered).
 var lhLayout = Layout{
-	Gran:            GranLine,
 	HitBytes:        lhDataBytes,
 	TagBytes:        lhTagBytes,
 	UpdateBytes:     lhDataBytes,

@@ -97,8 +97,7 @@ func (t *sectorTags) allocSector(now uint64, sector uint64) uint64 {
 			}
 			if dirty&bit != 0 {
 				// Recover the dirty line before the frame is reused.
-				t.c.st.AddBytes(stats.VictimRead, 64)
-				t.c.l4Read(now, t.locateLine(frame, off), 64, t.c.mem.VictimFwd(victimLine, 0))
+				t.c.l4Read(now, t.locateLine(frame, off), stats.VictimRead, 64, t.c.mem.VictimFwd(victimLine, 0))
 			}
 		}
 	}
@@ -175,10 +174,8 @@ func (t *sectorTags) Install(lines ...uint64) {
 
 // sectorLayout: probes are free (tags on chip), data operations move 64 B
 // lines; victims are settled at issue inside the tag store, never by the
-// engine. The granularity's BlockLines is corrected to the constructed
-// sector size in NewSector.
+// engine.
 var sectorLayout = Layout{
-	Gran:          GranPage,
 	HitBytes:      64,
 	FillBytes:     64,
 	WBUpdateBytes: 64,
@@ -199,7 +196,6 @@ func NewSector(name string, lines uint64, sectorLines uint64, ways int, l4 *dram
 	}
 	frames := sets * uint64(ways)
 	c := &Controller{name: name, lay: sectorLayout, l4: l4, mem: mem, hooks: hooks, wb: directWB{}}
-	c.lay.Gran = Granularity{BlockLines: sectorLines, SubBlocked: true}
 	c.tags = &sectorTags{
 		c:         c,
 		tags:      sram.New(sets, ways),

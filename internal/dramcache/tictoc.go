@@ -91,7 +91,6 @@ func (w tictocWB) Allocate() bool { return false }
 // 64 B in-array tag check, as do unresolved writebacks. Fills are demand
 // lines; victim recovery scales to the dirty mask.
 var tictocLayout = Layout{
-	Gran:            GranPage,
 	HitBytes:        64,
 	MissProbeBytes:  64,
 	FillBytes:       64,
@@ -105,7 +104,6 @@ var tictocLayout = Layout{
 func NewTicToc(name string, lines, pageLines uint64, ways int, l4 *dram.Memory, mem *MainMemory, hooks Hooks) *TicToc {
 	checkPageGeometry(lines, pageLines)
 	c := &Controller{name: name, lay: tictocLayout, l4: l4, mem: mem, hooks: hooks}
-	c.lay.Gran = Granularity{BlockLines: pageLines, SubBlocked: true}
 	pt := newPageTags(c, lines, pageLines, ways, false)
 	c.tags = pt
 

@@ -99,7 +99,6 @@ func (t *sramTags) Install(lines ...uint64) {
 // 64 B line, and dirty victims must be read back before their frame is
 // reused.
 var tisLayout = Layout{
-	Gran:            GranLine,
 	HitBytes:        64,
 	FillBytes:       64,
 	VictimReadBytes: 64,

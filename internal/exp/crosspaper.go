@@ -22,7 +22,7 @@ func init() {
 	register(Experiment{
 		ID:       "xgran",
 		Artifact: "Cross-paper",
-		Title:    "Granularity axis: line-grained Alloy/BEAR vs page-grained Banshee/TicToc",
+		Title:    "Allocation-unit axis: line-grained Alloy/BEAR vs page-grained Banshee/TicToc",
 		About:    "16 rate workloads; dramcache/{alloy,page,banshee,tictoc}; bloat decomposition plus speedup over Alloy",
 		Run: func(p Params, w io.Writer, r *Runner) error {
 			designs := []struct {

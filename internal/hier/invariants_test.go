@@ -36,7 +36,7 @@ func TestCrossDesignInvariants(t *testing.T) {
 	designs := []config.Design{
 		config.NoL4, config.Alloy, config.BEAR, config.BWOpt,
 		config.LohHill, config.MostlyClean, config.InclAlloy,
-		config.TIS, config.Sector,
+		config.TIS, config.Sector, config.Banshee, config.TicToc,
 	}
 	for _, d := range designs {
 		cfg := config.Default(512).WithDesign(d)
@@ -90,6 +90,11 @@ func TestCrossDesignInvariants(t *testing.T) {
 		if l4.Bytes[stats.MissProbe] != 0 || l4.Bytes[stats.WBProbe] != 0 {
 			t.Errorf("%v issued probe bytes: %v", d, l4.Bytes)
 		}
+	}
+	// Banshee's tags live on chip, so reads never probe; its writeback
+	// probes are real (tag-buffer misses), so it stays out of the check above.
+	if l4 := &results[config.Banshee].run.L4; l4.Bytes[stats.MissProbe] != 0 {
+		t.Errorf("Banshee issued miss-probe bytes: %v", l4.Bytes)
 	}
 	// 5. The inclusive design never bypasses.
 	if results[config.InclAlloy].run.L4.Bypasses != 0 {

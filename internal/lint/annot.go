@@ -7,21 +7,8 @@ import (
 	"strings"
 )
 
-// Annotation grammar for the semantic rule families (bytes, timeflow).
-// All annotations are doc comments on function declarations, except
-// //bear:clock on a struct field (a trailing line comment) and
-// //bear:deferred (a line comment at an enqueue call site).
-//
-//	//bear:enqueue read|write bytes=<i>
-//	    marks a function that enqueues a DRAM transfer; argument <i> is the
-//	    byte count. Callers must attribute those bytes (bytes rule); the
-//	    annotated wrapper itself is exempt — it IS the boundary.
-//
-//	//bear:bytes <Category> bytes=<i>
-//	//bear:bytes arg=<j>     bytes=<i>
-//	    marks an attribution helper: argument <i> carries the byte count,
-//	    landing in the named bloat category (or the category constant
-//	    passed as argument <j>).
+// Annotation grammar for the timeflow rule: a doc comment on a function
+// declaration, or a trailing line comment on a struct field.
 //
 //	//bear:clock <param>[,<param>...] [result[=<k>]]
 //	    on a function: the named parameters are trusted simulated-time
@@ -29,23 +16,6 @@ import (
 //	    (timeflow rule); `result` marks return value <k> (default 0) as a
 //	    trusted clock. On a struct field (trailing comment): reads of the
 //	    field — and of its elements, if indexable — are trusted.
-//
-//	//bear:deferred <Category>
-//	    at an enqueue call site: the bytes are attributed at completion
-//	    time (inside the transaction callback), not on this path; the named
-//	    category documents where they land and must be attributed somewhere
-//	    in the same package.
-
-type enqueueSpec struct {
-	kind     string // "read" or "write"
-	bytesArg int
-}
-
-type attrSpec struct {
-	category string // fixed category name, "" when catArg >= 0
-	catArg   int    // index of the category argument, -1 when fixed
-	bytesArg int
-}
 
 type clockSpec struct {
 	params  map[string]bool
@@ -66,13 +36,8 @@ func parseAnnotations(fd *ast.FuncDecl, s *fnSummary) {
 		return
 	}
 	for _, c := range fd.Doc.List {
-		switch {
-		case strings.HasPrefix(c.Text, "//bear:enqueue"):
-			s.enqueue = parseEnqueue(strings.TrimPrefix(c.Text, "//bear:enqueue"), c.Pos(), s)
-		case strings.HasPrefix(c.Text, "//bear:bytes"):
-			s.attr = parseAttr(strings.TrimPrefix(c.Text, "//bear:bytes"), c.Pos(), s)
-		case strings.HasPrefix(c.Text, "//bear:clock"):
-			s.clock = parseClock(strings.TrimPrefix(c.Text, "//bear:clock"), c.Pos(), s)
+		if text, ok := strings.CutPrefix(c.Text, "//bear:clock"); ok {
+			s.clock = parseClock(text, c.Pos(), s)
 		}
 	}
 }
@@ -81,73 +46,6 @@ func annotFields(text string) []string {
 	return strings.FieldsFunc(text, func(r rune) bool {
 		return r == ' ' || r == '\t' || r == ','
 	})
-}
-
-func parseEnqueue(text string, pos token.Pos, s *fnSummary) *enqueueSpec {
-	fields := annotFields(text)
-	spec := &enqueueSpec{bytesArg: -1}
-	for _, f := range fields {
-		switch {
-		case f == "read" || f == "write":
-			spec.kind = f
-		case strings.HasPrefix(f, "bytes="):
-			n, err := strconv.Atoi(f[len("bytes="):])
-			if err != nil || n < 0 {
-				s.annotErrs = append(s.annotErrs, annotErr{pos, RuleBytes,
-					"malformed //bear:enqueue: bad bytes= index " + strconv.Quote(f)})
-				return nil
-			}
-			spec.bytesArg = n
-		default:
-			s.annotErrs = append(s.annotErrs, annotErr{pos, RuleBytes,
-				"malformed //bear:enqueue: unknown token " + strconv.Quote(f)})
-			return nil
-		}
-	}
-	if spec.kind == "" || spec.bytesArg < 0 {
-		s.annotErrs = append(s.annotErrs, annotErr{pos, RuleBytes,
-			"malformed //bear:enqueue: want `//bear:enqueue read|write bytes=<i>`"})
-		return nil
-	}
-	return spec
-}
-
-func parseAttr(text string, pos token.Pos, s *fnSummary) *attrSpec {
-	fields := annotFields(text)
-	spec := &attrSpec{catArg: -1, bytesArg: -1}
-	for _, f := range fields {
-		switch {
-		case strings.HasPrefix(f, "arg="):
-			n, err := strconv.Atoi(f[len("arg="):])
-			if err != nil || n < 0 {
-				s.annotErrs = append(s.annotErrs, annotErr{pos, RuleBytes,
-					"malformed //bear:bytes: bad arg= index " + strconv.Quote(f)})
-				return nil
-			}
-			spec.catArg = n
-		case strings.HasPrefix(f, "bytes="):
-			n, err := strconv.Atoi(f[len("bytes="):])
-			if err != nil || n < 0 {
-				s.annotErrs = append(s.annotErrs, annotErr{pos, RuleBytes,
-					"malformed //bear:bytes: bad bytes= index " + strconv.Quote(f)})
-				return nil
-			}
-			spec.bytesArg = n
-		default:
-			if spec.category != "" {
-				s.annotErrs = append(s.annotErrs, annotErr{pos, RuleBytes,
-					"malformed //bear:bytes: two categories named"})
-				return nil
-			}
-			spec.category = f
-		}
-	}
-	if spec.bytesArg < 0 || (spec.category == "") == (spec.catArg < 0) {
-		s.annotErrs = append(s.annotErrs, annotErr{pos, RuleBytes,
-			"malformed //bear:bytes: want `//bear:bytes <Category>|arg=<j> bytes=<i>`"})
-		return nil
-	}
-	return spec
 }
 
 func parseClock(text string, pos token.Pos, s *fnSummary) *clockSpec {
@@ -175,38 +73,6 @@ func parseClock(text string, pos token.Pos, s *fnSummary) *clockSpec {
 		return nil
 	}
 	return spec
-}
-
-// collectDeferred gathers //bear:deferred line comments: file -> line ->
-// category. Like //bear:nolint, a comment covers its own line and the line
-// below, so it can trail the enqueue call or sit on its own line above it.
-func collectDeferred(fset *token.FileSet, files []*ast.File) map[string]map[int]string {
-	out := map[string]map[int]string{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//bear:deferred")
-				if !ok {
-					continue
-				}
-				for _, sep := range []string{"—", "--"} {
-					if i := strings.Index(text, sep); i >= 0 {
-						text = text[:i]
-					}
-				}
-				cat := strings.TrimSpace(text)
-				pos := fset.Position(c.Pos())
-				byLine := out[pos.Filename]
-				if byLine == nil {
-					byLine = map[int]string{}
-					out[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = cat
-				byLine[pos.Line+1] = cat
-			}
-		}
-	}
-	return out
 }
 
 // collectClockFields gathers struct fields carrying a trailing //bear:clock

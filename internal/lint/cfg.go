@@ -6,7 +6,7 @@ import (
 )
 
 // An intraprocedural control-flow graph over the syntax tree, shared by the
-// path-sensitive rule families (pool, bytes, timeflow). Each basic block
+// path-sensitive rule families (pool, timeflow). Each basic block
 // carries the AST nodes that execute in it, in order; clients interpret the
 // nodes with their own transfer functions (see dataflow.go).
 //
@@ -21,9 +21,8 @@ import (
 //   - return statements appear as nodes (so returned expressions flow) and
 //     additionally terminate their block with exitReturn;
 //   - panic(...) expression statements terminate their block with
-//     exitPanic. Crash paths are silent for every current client: a leak or
-//     an unattributed byte on a path that ends the process is not a bug the
-//     rules exist to catch;
+//     exitPanic. Crash paths are silent for every current client: a leak on
+//     a path that ends the process is not a bug the rules exist to catch;
 //   - branch statements (break/continue/goto/fallthrough) contribute edges
 //     only.
 //

@@ -18,16 +18,9 @@ import (
 //     bus transfer, which invalidates every bandwidth result the design
 //     reports (the NoL4 pass-through, which has no tag store, is the one
 //     sanctioned zero-Layout composition).
-//   - gran: every keyed Layout literal (of a Layout type carrying a Gran
-//     field) must declare its granularity — GranLine for line-grained
-//     designs, a non-zero Granularity for sub-blocked ones. A zero Gran
-//     (BlockLines == 0) is indistinguishable from "forgot to think about
-//     granularity": the engine treats it as legacy line-grained, which
-//     silently mis-accounts fills and victim recovery for a page design.
 func (p *Program) checkContracts(pkg *Package, report reporter) {
 	p.checkExperimentIDs(pkg, report)
 	p.checkLayouts(pkg, report)
-	p.checkGranularities(pkg, report)
 }
 
 func (p *Program) checkExperimentIDs(pkg *Package, report reporter) {
@@ -181,72 +174,5 @@ func checkLayoutFn(pkg *Package, fd *ast.FuncDecl, report reporter) {
 	if setTags && !setLay {
 		report(pkg, RuleLayout, lit.Pos(),
 			"Controller composition in %s installs a tag store but never sets lay; a zero Layout accounts zero bus bytes for every transfer", fd.Name.Name)
-	}
-}
-
-// isGranLayoutType reports whether t is a struct type named Layout that
-// carries a Gran field — the granularity-bearing Layout shape the gran rule
-// applies to (older Layout shapes without the field are exempt).
-func isGranLayoutType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Layout" {
-		return false
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == "Gran" {
-			return true
-		}
-	}
-	return false
-}
-
-// checkGranularities enforces the gran rule on every keyed, non-empty
-// composite literal of a granularity-bearing Layout type: the literal must
-// name Gran, and the value must not be a zero Granularity{} literal.
-// Fully-positional literals necessarily spell out every field, including
-// Gran, so only keyed literals can silently omit it; empty Layout{}
-// literals are zero values (placeholders, not compositions) and are the
-// layout rule's concern.
-func (p *Program) checkGranularities(pkg *Package, report reporter) {
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			cl, ok := n.(*ast.CompositeLit)
-			if !ok || len(cl.Elts) == 0 {
-				return true
-			}
-			t := pkg.Info.TypeOf(cl)
-			if t == nil || !isGranLayoutType(t) {
-				return true
-			}
-			var granVal ast.Expr
-			keyed := false
-			for _, elt := range cl.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				keyed = true
-				if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Gran" {
-					granVal = kv.Value
-				}
-			}
-			if !keyed {
-				return true
-			}
-			if granVal == nil {
-				report(pkg, RuleGran, cl.Pos(),
-					"Layout literal omits Gran; declare the design's granularity (GranLine for line-grained designs)")
-				return true
-			}
-			if inner, ok := ast.Unparen(granVal).(*ast.CompositeLit); ok && len(inner.Elts) == 0 {
-				report(pkg, RuleGran, granVal.Pos(),
-					"Layout sets an empty Granularity (BlockLines == 0); the engine would treat the design as legacy line-grained")
-			}
-			return true
-		})
 	}
 }

@@ -47,9 +47,7 @@ type fnSummary struct {
 	decl       *ast.FuncDecl
 	hotpath    bool
 	acquire    bool
-	enqueue    *enqueueSpec // //bear:enqueue — DRAM transfer boundary (bytes rule)
-	attr       *attrSpec    // //bear:bytes — byte-attribution helper (bytes rule)
-	clock      *clockSpec   // //bear:clock — trusted/checked clock params (timeflow rule)
+	clock      *clockSpec // //bear:clock — trusted/checked clock params (timeflow rule)
 	annotErrs  []annotErr
 	constructs []construct
 	calls      []callEdge

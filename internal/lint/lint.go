@@ -19,16 +19,12 @@
 //   - typed invariants: engine packages must not panic with bare strings;
 //     they raise typed errors (fault.Invariantf) that the fault-isolation
 //     recover in internal/exp can classify.
-//   - byte attribution: every DRAM transfer enqueued through a
-//     //bear:enqueue wrapper flows, on every path, into exactly one bloat
-//     category via a //bear:bytes attribution (or //bear:deferred for
-//     completion-time attribution).
 //   - event-time monotonicity: arguments reaching //bear:clock parameters
 //     (event scheduling sites) are provably >= the current simulated time.
 //   - stats census: every field of the stats structs is both written by a
 //     simulation path and consumed by an experiment or report.
 //
-// The path-sensitive rules (pool, bytes, timeflow) run on a shared
+// The path-sensitive rules (pool, timeflow) run on a shared
 // intraprocedural CFG (cfg.go) and branch-merging worklist solver
 // (dataflow.go).
 //
@@ -60,9 +56,7 @@ const (
 	RulePool        = "pool"        // pooled object dropped on a return path
 	RuleDupID       = "dupid"       // duplicate or non-literal experiment id
 	RuleLayout      = "layout"      // Controller composition without a Layout
-	RuleGran        = "gran"        // Layout literal without a declared Granularity
 	RuleInvariant   = "invariant"   // bare string panic in an engine package
-	RuleBytes       = "bytes"       // enqueued DRAM bytes not attributed to a bloat category
 	RuleTimeflow    = "timeflow"    // event scheduled at a time not provably >= now
 	RuleStats       = "stats"       // stats field never written or never consumed
 )
@@ -95,10 +89,6 @@ type Config struct {
 	// not a repository-wide one, so it applies only where the caller
 	// opts packages in.
 	InvariantPanic func(pkgPath string) bool
-	// Bytes gates the byte-attribution rule (every enqueued DRAM transfer
-	// lands in exactly one bloat category). Nil disables: it is an
-	// engine-package contract, opt-in like InvariantPanic.
-	Bytes func(pkgPath string) bool
 	// Timeflow gates the event-time monotonicity rule (arguments reaching
 	// annotated schedule sites must be provably >= now). Nil disables.
 	Timeflow func(pkgPath string) bool
@@ -125,10 +115,6 @@ func (c Config) invariantPanic(path string) bool {
 	return c.InvariantPanic != nil && c.InvariantPanic(path)
 }
 
-func (c Config) bytes(path string) bool {
-	return c.Bytes != nil && c.Bytes(path)
-}
-
 func (c Config) timeflow(path string) bool {
 	return c.Timeflow != nil && c.Timeflow(path)
 }
@@ -147,9 +133,6 @@ type Package struct {
 
 	// nolint maps file -> line -> suppressed rule set ("" suppresses all).
 	nolint map[string]map[int]map[string]bool
-	// deferred maps file -> line -> bloat category for //bear:deferred
-	// enqueue sites (bytes attributed at completion time; see bytes.go).
-	deferred map[string]map[int]string
 }
 
 // Program is the full set of packages under analysis, sharing one FileSet
@@ -170,7 +153,11 @@ func Load(module, root string, dirs []string) (*Program, error) {
 	prog := &Program{Fset: fset}
 
 	for _, dir := range dirs {
-		pkg, err := loadPackage(fset, imp, module, root, dir)
+		path, err := importPath(module, root, dir)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := loadPackage(fset, imp, path, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -181,42 +168,7 @@ func Load(module, root string, dirs []string) (*Program, error) {
 	return prog, nil
 }
 
-// PackageSpec names one package to load: the directory holding its sources
-// and the import path to check it under. Used by LoadSpecs when the path
-// cannot be derived from a module root — e.g. the mutation smoke test,
-// which loads a throwaway copy of a real package next to the original.
-type PackageSpec struct {
-	Dir  string
-	Path string
-}
-
-// LoadSpecs parses and type-checks exactly the named packages into one
-// Program (one shared FileSet, one source importer).
-func LoadSpecs(specs []PackageSpec) (*Program, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	prog := &Program{Fset: fset}
-	for _, sp := range specs {
-		pkg, err := loadPackageAt(fset, imp, sp.Path, sp.Dir)
-		if err != nil {
-			return nil, err
-		}
-		if pkg != nil {
-			prog.Pkgs = append(prog.Pkgs, pkg)
-		}
-	}
-	return prog, nil
-}
-
-func loadPackage(fset *token.FileSet, imp types.Importer, module, root, dir string) (*Package, error) {
-	path, err := importPath(module, root, dir)
-	if err != nil {
-		return nil, err
-	}
-	return loadPackageAt(fset, imp, path, dir)
-}
-
-func loadPackageAt(fset *token.FileSet, imp types.Importer, path, dir string) (*Package, error) {
+func loadPackage(fset *token.FileSet, imp types.Importer, path, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -259,13 +211,12 @@ func loadPackageAt(fset *token.FileSet, imp types.Importer, path, dir string) (*
 	}
 
 	return &Package{
-		Path:     path,
-		Dir:      dir,
-		Files:    files,
-		Types:    tpkg,
-		Info:     info,
-		nolint:   collectNolint(fset, files),
-		deferred: collectDeferred(fset, files),
+		Path:   path,
+		Dir:    dir,
+		Files:  files,
+		Types:  tpkg,
+		Info:   info,
+		nolint: collectNolint(fset, files),
 	}, nil
 }
 
@@ -347,9 +298,6 @@ func (p *Program) Run(cfg Config) []Diagnostic {
 		p.checkContracts(pkg, report)
 		p.checkPools(pkg, sums, report)
 		p.checkInvariantPanics(pkg, cfg, report)
-		if cfg.bytes(pkg.Path) {
-			p.checkBytes(pkg, sums, report)
-		}
 		if cfg.timeflow(pkg.Path) {
 			p.checkTimeflow(pkg, sums, clockFields, report)
 		}

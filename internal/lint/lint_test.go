@@ -23,7 +23,6 @@ func testConfig() Config {
 		AllowGo:        func(p string) bool { return p == "fix/gook" },
 		MapRange:       func(p string) bool { return p != "fix/exempt" },
 		InvariantPanic: func(p string) bool { return p == "fix/inv" },
-		Bytes:          func(p string) bool { return p == "fix/bytes" },
 		Timeflow:       func(p string) bool { return p == "fix/timeflow" },
 		StatsFields:    func(p string) bool { return p == "fix/statsrule" },
 	}

@@ -25,15 +25,7 @@ func dynamicID() string { return "tab4" }
 
 type TagStore interface{ Lookup(line uint64) bool }
 
-type Granularity struct {
-	BlockLines uint64
-	SubBlocked bool
-}
-
-var GranLine = Granularity{BlockLines: 1}
-
 type Layout struct {
-	Gran      Granularity
 	LineBytes int
 }
 
@@ -47,12 +39,11 @@ type fakeTags struct{}
 
 func (fakeTags) Lookup(uint64) bool { return false }
 
-// newComplete sets both tags and lay in the literal, with a declared
-// granularity.
+// newComplete sets both tags and lay in the literal.
 func newComplete() *Controller {
 	return &Controller{
 		tags: fakeTags{},
-		lay:  Layout{Gran: GranLine, LineBytes: 64},
+		lay:  Layout{LineBytes: 64},
 	}
 }
 
@@ -71,7 +62,7 @@ func newPassThrough() *Controller {
 func newLateBound() *Controller {
 	c := &Controller{name: "late"}
 	c.tags = fakeTags{}
-	c.lay = Layout{Gran: Granularity{BlockLines: 64, SubBlocked: true}, LineBytes: 64}
+	c.lay = Layout{LineBytes: 64}
 	return c
 }
 
@@ -80,22 +71,3 @@ func newLateMissing() *Controller {
 	c.tags = fakeTags{}
 	return c
 }
-
-// Granularity-declaration cases for the gran rule.
-
-// granOmitted is a keyed Layout literal that never names Gran.
-var granOmitted = Layout{LineBytes: 64} // want "gran: Layout literal omits Gran"
-
-// granZero names Gran but with the zero Granularity.
-var granZero = Layout{Gran: Granularity{}, LineBytes: 64} // want "gran: Layout sets an empty Granularity"
-
-// granPositional spells out every field, Gran included: exempt.
-var granPositional = Layout{Granularity{BlockLines: 1}, 64}
-
-// granEmpty is a zero-value placeholder, not a composition: exempt.
-var granEmpty = Layout{}
-
-// granExplicit declares a sub-blocked granularity inline: clean.
-var granExplicit = Layout{Gran: Granularity{BlockLines: 64, SubBlocked: true}, LineBytes: 64}
-
-var _ = []Layout{granOmitted, granZero, granPositional, granEmpty, granExplicit}

@@ -456,3 +456,11 @@ func isIntLiteral(expr ast.Expr) bool {
 	lit, ok := e.(*ast.BasicLit)
 	return ok && lit.Kind == token.INT
 }
+
+func (p *Program) summaryFor(pkg *Package, fd *ast.FuncDecl, sums map[string]*fnSummary) *fnSummary {
+	obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return nil
+	}
+	return sums[obj.FullName()]
+}

@@ -83,8 +83,6 @@ type L4 struct {
 }
 
 // AddBytes charges n bus bytes to category c.
-//
-//bear:bytes arg=0 bytes=1
 func (s *L4) AddBytes(c Category, n int) { s.Bytes[c] += uint64(n) }
 
 // Reads returns total LLC read misses that consulted the L4.
