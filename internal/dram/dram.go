@@ -76,6 +76,18 @@ type Stats struct {
 	MaxWriteQLen int    // peak per-channel write-queue depth (drain pressure)
 }
 
+// Work counts the scheduler's own effort: the requests enqueued, the picks
+// made for them (a pick that stalls on the commit-ahead horizon counts, and
+// is made again later), and the candidates priced with a full burst-start
+// computation across those picks. It is kept apart from Stats, which is
+// reset at the warm boundary and reported in results, so counting never
+// touches a result; the reference scan of -check mode is not counted.
+type Work struct {
+	Requests uint64
+	Picks    uint64
+	Priced   uint64
+}
+
 // AvgReadLatency returns mean read service time (queue + access + burst).
 func (s *Stats) AvgReadLatency() float64 {
 	if s.Reads == 0 {
@@ -207,6 +219,7 @@ func (c *channel) source(draining bool) *reqQ {
 type Memory struct {
 	Name  string
 	Stats Stats
+	Work  Work // never reset; read deltas around the span of interest
 
 	// SelfCheck makes every scheduling decision re-derive itself through
 	// the unpruned reference scan (reference.go) and panic with a typed
@@ -290,6 +303,7 @@ func (m *Memory) Enqueue(now uint64, r *Request) {
 	} else if r.m != m {
 		panic(fault.Invariantf("dram", "%s: request bound to memory %s", m.Name, r.m.Name))
 	}
+	m.Work.Requests++
 	r.enqueued = now
 	r.burst = uint64((r.Bytes + m.cfg.BytesPerCycle - 1) / m.cfg.BytesPerCycle)
 	c := m.ch[r.Channel]
@@ -404,6 +418,7 @@ func (m *Memory) kick(now uint64, c *channel) {
 func (m *Memory) pick(now uint64, c *channel, q *reqQ) (idx int, start uint64, rowHit bool) {
 	busFree := max64(c.busFreeAt, now)
 	idx = -1
+	priced := uint64(0)
 	for i := 0; i < q.Len() && i < scanLimit; i++ {
 		r := q.At(i)
 		if idx >= 0 {
@@ -414,6 +429,7 @@ func (m *Memory) pick(now uint64, c *channel, q *reqQ) (idx int, start uint64, r
 			}
 		}
 		s, h := m.burstStart(now, c, r, busFree)
+		priced++
 		if idx < 0 || s < start || (s == start && h && !rowHit) {
 			idx, start, rowHit = i, s, h
 			if h && s == busFree {
@@ -421,6 +437,8 @@ func (m *Memory) pick(now uint64, c *channel, q *reqQ) (idx int, start uint64, r
 			}
 		}
 	}
+	m.Work.Picks++
+	m.Work.Priced += priced
 	return idx, start, rowHit
 }
 

@@ -430,3 +430,40 @@ func TestManyBanksPerChannel(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkCounters pins the scheduler work counters: one cold read is one
+// request, one pick and one candidate priced; over a contended stream
+// every request is picked at least once, every pick prices between one and
+// scanLimit candidates, and the -check reference scan counts nothing.
+func TestWorkCounters(t *testing.T) {
+	var q event.Queue
+	m := New("t", testCfg(), &q)
+	m.Read(0, 0, 0, 0, 80, nil)
+	q.Run(nil)
+	if want := (Work{Requests: 1, Picks: 1, Priced: 1}); m.Work != want {
+		t.Fatalf("one cold read: work %+v, want %+v", m.Work, want)
+	}
+
+	stream := func(check bool) Work {
+		var q event.Queue
+		m := New("t", testCfg(), &q)
+		m.SelfCheck = check
+		for i := range uint64(200) {
+			bk, row := int(i%3), i%5
+			if i%4 == 0 {
+				m.Write(i, 0, bk, row, 64)
+			} else {
+				m.Read(i, 0, bk, row, 64, nil)
+			}
+		}
+		q.Run(nil)
+		return m.Work
+	}
+	w := stream(false)
+	if w.Requests != 200 || w.Picks < w.Requests || w.Priced < w.Picks || w.Priced > w.Picks*scanLimit {
+		t.Fatalf("200 contended requests: work %+v", w)
+	}
+	if wc := stream(true); wc != w {
+		t.Fatalf("self-check changed the work counters: %+v, want %+v", wc, w)
+	}
+}

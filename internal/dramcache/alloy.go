@@ -67,25 +67,42 @@ type tadTags struct {
 	// of tail padding so every slot can be read with one 8-byte load. A
 	// slot holds (tag+1) | dirty for a resident line, where the tag is
 	// line / sets (the set implies the remainder), and zero for an empty
-	// set.
+	// set. The width is the least that holds the widest tag+1 installed so
+	// far below the dirty bit, the slot's top bit; fit widens it. A new
+	// store is width 0 over the bare 8-byte pad, so every set reads as
+	// empty.
 	slots []byte
 	width uint64
-	dirty uint64 // the slot's top bit
+	dirty uint64 // the slot's top bit; 0 at width 0
 
 	inclusive bool
 }
 
-// maxLine bounds line addresses, as in the trace reader: a line is a 64-bit
-// byte address >> 6.
-const maxLine = 1 << 58
+// fit widens the slots, if need be, so that v fits below the dirty bit.
+func (t *tadTags) fit(v uint64) {
+	if v >= t.dirty {
+		t.widen(v)
+	}
+}
 
-// tadSlotBytes is the slot width for sets sets: room for the largest tag
-// plus one and the dirty bit above it. It depends only on the set count,
-// never on the workload. It is never below 5 bytes, the least putSlot
-// writes.
-func tadSlotBytes(sets uint64) uint64 {
-	maxTag := (maxLine - 1) / sets
-	return max(5, uint64(bits.Len64(maxTag+1)+1+7)/8)
+// widen moves the slots to the least width that holds v below the dirty
+// bit. It re-encodes every resident slot into a new slab, moving its dirty
+// bit to the new top bit, and drops the old slab.
+func (t *tadTags) widen(v uint64) {
+	width := uint64(bits.Len64(v)+1+7) / 8
+	slots := make([]byte, t.sets.n*width+8)
+	dirty := uint64(1) << (8*width - 1)
+	if t.width > 0 { // at width 0 there is nothing to re-encode
+		for set := range t.sets.n {
+			if w := t.slot(set); w != 0 {
+				if w&t.dirty != 0 {
+					w = w&^t.dirty | dirty
+				}
+				putSlot(slots, width, set, w)
+			}
+		}
+	}
+	t.slots, t.width, t.dirty = slots, width, dirty
 }
 
 // slot reads set's slot: one unaligned 8-byte load, masked to the slot.
@@ -93,27 +110,30 @@ func (t *tadTags) slot(set uint64) uint64 {
 	return binary.LittleEndian.Uint64(t.slots[set*t.width:]) & (t.dirty<<1 - 1)
 }
 
-// putSlot writes set's slot with stores only: the low 4 bytes, then the
-// rest in at most three stores chosen by predictable branches on the width.
-// Merging v into an 8-byte read of the slot's window instead would stall on
-// store forwarding between adjacent slots. It takes the slab and width
-// rather than the tadTags so Install can hoist both out of its loop: the
-// compiler cannot prove the stores leave t's fields alone, and would reload
-// them for every line.
+// putSlot writes set's slot with stores only: a full word at width 8, and
+// otherwise one 4-, 2- or 1-byte store for each bit of the width, chosen by
+// branches that are predictable because the width rarely changes. It is
+// small enough to inline. Merging v into an 8-byte read of the slot's
+// window instead would stall on store forwarding between adjacent slots.
+// It takes the slab and width rather than the tadTags so Install can hoist
+// both out of its loop: the compiler cannot prove the stores leave t's
+// fields alone, and would reload them for every line.
 func putSlot(slots []byte, width, set, v uint64) {
-	off := set * width
-	b := slots[off : off+8 : off+8]
-	binary.LittleEndian.PutUint32(b, uint32(v))
-	if width == 5 {
-		b[4] = byte(v >> 32)
+	b := slots[set*width:]
+	if width == 8 {
+		binary.LittleEndian.PutUint64(b, v)
 		return
 	}
-	binary.LittleEndian.PutUint16(b[4:], uint16(v>>32))
-	if width > 6 {
-		b[6] = byte(v >> 48)
-		if width == 8 {
-			b[7] = byte(v >> 56)
-		}
+	if width&4 != 0 {
+		binary.LittleEndian.PutUint32(b, uint32(v))
+		b, v = b[4:], v>>32
+	}
+	if width&2 != 0 {
+		binary.LittleEndian.PutUint16(b, uint16(v))
+		b, v = b[2:], v>>16
+	}
+	if width&1 != 0 {
+		b[0] = byte(v)
 	}
 }
 
@@ -193,6 +213,7 @@ func (t *tadTags) Fill(_ uint64, line, _ uint64, _ bool) FillResult {
 			h(fr.VictimLine)
 		}
 	}
+	t.fit(q + 1)
 	putSlot(t.slots, t.width, set, q+1)
 	return fr
 }
@@ -216,6 +237,7 @@ func (t *tadTags) WritebackFill(_ uint64, line uint64) FillResult {
 			h(fr.VictimLine)
 		}
 	}
+	t.fit(q + 1)
 	putSlot(t.slots, t.width, set, (q+1)|t.dirty)
 	return fr
 }
@@ -228,9 +250,13 @@ func (t *tadTags) Contains(line uint64) bool {
 
 // Install implements TagStore.
 func (t *tadTags) Install(lines ...uint64) {
-	slots, width, sets := t.slots, t.width, t.sets
+	slots, width, dirty, sets := t.slots, t.width, t.dirty, t.sets
 	for _, line := range lines {
 		q, set := sets.split(line)
+		if q+1 >= dirty {
+			t.fit(q + 1)
+			slots, width, dirty = t.slots, t.width, t.dirty
+		}
 		putSlot(slots, width, set, q+1)
 	}
 }
@@ -397,16 +423,13 @@ func NewAlloy(name string, sets uint64, l4 *dram.Memory, mem *MainMemory, hooks 
 	}
 	cfg := l4.Config()
 	c := &Controller{name: name, l4: l4, mem: mem, hooks: hooks}
-	width := tadSlotBytes(sets)
 	t := &tadTags{
 		c:          c,
 		sets:       newSetIndex(sets),
 		setsPerRow: 28,
 		channels:   uint64(cfg.Channels),
 		banks:      uint64(cfg.Banks),
-		slots:      make([]byte, sets*width+8),
-		width:      width,
-		dirty:      1 << (8*width - 1),
+		slots:      make([]byte, 8),
 		inclusive:  opts.Inclusive,
 	}
 	c.tags = t

@@ -40,7 +40,8 @@ type tadPiece struct {
 // highest core; two pieces of one core with equal late never share a set,
 // since a core has one line per position. So the pieces are filled in
 // ascending (late, core) order, each with one putSlot doubled out by copy,
-// and the last fill of every set is its last writer.
+// and the last fill of every set is its last writer. The slots are first
+// widened once to the largest piece tag, the width Install ends at.
 func (t *tadTags) prewarm(cores [][]trace.Run) {
 	sets := t.sets.n
 	var pieces []tadPiece
@@ -54,6 +55,9 @@ func (t *tadTags) prewarm(cores [][]trace.Run) {
 				line, pos = line+n, pos+n
 			}
 		}
+	}
+	if len(pieces) > 0 {
+		t.fit(slices.MaxFunc(pieces, func(a, b tadPiece) int { return cmp.Compare(a.tag, b.tag) }).tag)
 	}
 	slices.SortFunc(pieces, func(a, b tadPiece) int {
 		return cmp.Or(cmp.Compare(a.late, b.late), cmp.Compare(a.core, b.core))

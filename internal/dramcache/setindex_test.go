@@ -5,6 +5,7 @@ import (
 
 	"bear/internal/config"
 	"bear/internal/rng"
+	"bear/internal/trace"
 )
 
 // FuzzTADSetIndex checks the TAD store's divide-free set index against
@@ -32,51 +33,134 @@ func FuzzTADSetIndex(f *testing.F) {
 	})
 }
 
-// TestTADSlotBytes pins the slot widths: five bytes at paper scale, six at
-// 1/64 and 1/256, and a full word for a single set.
-func TestTADSlotBytes(t *testing.T) {
+// maxLine bounds line addresses, as in the trace reader: a line is a 64-bit
+// byte address >> 6.
+const maxLine = 1 << 58
+
+// TestTADSlotWidth pins the slot width to the widest tag installed: none
+// for an empty store, two bytes for xalanc at paper scale, three for mcf at
+// 1/64, and a full word for a single set holding the highest line.
+func TestTADSlotWidth(t *testing.T) {
+	fx := newFixture()
+	sets := config.Default(1).AlloySets()
+	empty := NewAlloy("empty", sets, fx.l4, fx.mem, Hooks{}, AlloyOpts{}).tags.(*tadTags)
+	if empty.width != 0 || len(empty.slots) != 8 {
+		t.Errorf("empty store: width %d over %d bytes, want 0 over 8", empty.width, len(empty.slots))
+	}
+	for _, line := range []uint64{0, 1, sets - 1, sets, 2*sets + 5, maxLine - 1} {
+		if empty.Lookup(0, line).Hit || empty.Contains(line) {
+			t.Errorf("empty store: line %d hits", line)
+		}
+		if _, valid, _ := empty.line(line % sets); valid {
+			t.Errorf("empty store: set %d decodes as resident", line%sets)
+		}
+	}
+
 	for _, c := range []struct {
-		name  string
-		sets  uint64
-		bytes uint64
+		bench string
+		scale int
+		width uint64
 	}{
-		{"scale 1", config.Default(1).AlloySets(), 5},
-		{"scale 64", config.Default(64).AlloySets(), 6},
-		{"scale 256", config.Default(256).AlloySets(), 6},
-		{"one set", 1, 8},
+		{"xalanc", 1, 2},
+		{"mcf", 64, 3},
 	} {
-		if got := tadSlotBytes(c.sets); got != c.bytes {
-			t.Errorf("%s: %d sets take %d-byte slots, want %d", c.name, c.sets, got, c.bytes)
+		cfg := config.Default(c.scale)
+		wl, err := trace.Rate(c.bench, cfg.Core.Count, c.scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := NewAlloy(c.bench, cfg.AlloySets(), fx.l4, fx.mem, Hooks{}, AlloyOpts{})
+		ctl.Prewarm(warmRuns(cfg, wl))
+		if got := ctl.tags.(*tadTags).width; got != c.width {
+			t.Errorf("%s at 1/%d: prewarm leaves %d-byte slots, want %d", c.bench, c.scale, got, c.width)
+		}
+	}
+
+	one := NewAlloy("one", 1, fx.l4, fx.mem, Hooks{}, AlloyOpts{})
+	one.Install(maxLine - 1)
+	if got := one.tags.(*tadTags).width; got != 8 {
+		t.Errorf("one set holding line maxLine-1: %d-byte slots, want 8", got)
+	}
+}
+
+// TestTADWideningKeepsDirtyLine widens a store holding a dirty line at one
+// byte per slot to every wider width: the line must stay resident and
+// dirty, with its dirty bit moved to the new top bit.
+func TestTADWideningKeepsDirtyLine(t *testing.T) {
+	fx := newFixture()
+	for width := uint64(2); width <= 8; width++ {
+		tags := NewAlloy("widen", 2, fx.l4, fx.mem, Hooks{}, AlloyOpts{}).tags.(*tadTags)
+		tags.WritebackFill(0, 4) // set 0, tag 2
+		if tags.width != 1 {
+			t.Fatalf("one small dirty line: %d-byte slots, want 1", tags.width)
+		}
+		// The largest tag+1 below the top bit of the target width, short of
+		// maxLine at width 8.
+		tag := min(uint64(1)<<(8*width-1)-2, (maxLine-1)/2-1)
+		tags.Fill(0, 2*tag+1, 0, false)
+		if tags.width != width {
+			t.Fatalf("tag %#x: %d-byte slots, want %d", tag, tags.width, width)
+		}
+		if line, valid, dirty := tags.line(0); line != 4 || !valid || !dirty || !tags.Contains(4) {
+			t.Fatalf("widening 1 to %d bytes: set 0 decodes to (%d, %v, dirty %v), want (4, true, dirty true)",
+				width, line, valid, dirty)
+		}
+		if line, valid, dirty := tags.line(1); line != 2*tag+1 || !valid || dirty {
+			t.Fatalf("widening 1 to %d bytes: set 1 decodes to (%d, %v, dirty %v), want (%d, true, dirty false)",
+				width, line, valid, dirty, 2*tag+1)
 		}
 	}
 }
 
 // FuzzTADSlots drives random writes through a TAD store with a random set
-// count: after each write, the written set decodes to its line and dirty
-// bit, and both neighbouring slots are unchanged.
+// count. The first write installs the given tag, and the rest draw tags of
+// every magnitude, so the store widens step by step. After each write the
+// written set decodes to its line and dirty bit and both neighbouring sets
+// decode as before; widening rewrites their raw bytes, so the check
+// compares decoded slots. At the end every written set still decodes to
+// its last write.
 func FuzzTADSlots(f *testing.F) {
 	for _, sets := range []uint64{1, 2, 3, 28, 1<<11 + 1, 1 << 19, 1<<20 - 1} {
-		f.Add(sets, uint64(1), uint16(64))
+		f.Add(sets, uint64(1), uint16(64), uint64(0))
 	}
-	f.Fuzz(func(t *testing.T, sets, seed uint64, n uint16) {
-		// Up to 2^20 sets covers slot widths 8 down to 5.
+	// Tags on each side of every width boundary: tag+1 just below and at
+	// the dirty bit of widths 1 to 7.
+	for _, sets := range []uint64{1, 3} {
+		for width := 1; width < 8; width++ {
+			top := uint64(1) << (8*width - 1)
+			f.Add(sets, uint64(width), uint16(16), top-2)
+			f.Add(sets, uint64(width), uint16(16), top-1)
+		}
+	}
+	f.Fuzz(func(t *testing.T, sets, seed uint64, n uint16, tag uint64) {
+		// Up to 2^20 sets covers every slot width.
 		sets = sets%(1<<20) + 1
+		tag %= (maxLine-1)/sets + 1
 		fx := newFixture()
 		tags := NewAlloy("fuzz", sets, fx.l4, fx.mem, Hooks{}, AlloyOpts{}).tags.(*tadTags)
 		r := rng.New(seed)
-		slot := func(set uint64) uint64 {
-			if set >= sets {
-				return 0
-			}
-			return tags.slot(set)
+		type decoded struct {
+			line         uint64
+			valid, dirty bool
 		}
-		for range n {
-			line := r.Uint64n(maxLine)
-			if r.Bool(0.5) {
-				line %= 4 * sets // revisit sets with small tags too
+		decode := func(set uint64) decoded {
+			if set >= sets {
+				return decoded{}
+			}
+			line, valid, dirty := tags.line(set)
+			return decoded{line, valid, dirty}
+		}
+		written := map[uint64]decoded{}
+		for i := range n {
+			line := r.Uint64n(maxLine) >> r.Intn(59)
+			if i == 0 {
+				line = tag*sets + r.Uint64n(sets)
+				if line >= maxLine {
+					line -= sets
+				}
 			}
 			_, set := tags.sets.split(line)
-			before, after := slot(set-1), slot(set+1)
+			before, after := decode(set-1), decode(set+1)
 			var dirty bool
 			switch r.Intn(4) {
 			case 0:
@@ -93,13 +177,18 @@ func FuzzTADSlots(f *testing.F) {
 				tags.WritebackHit(line)
 				dirty = true
 			}
-			got, valid, gotDirty := tags.line(set)
-			if got != line || !valid || gotDirty != dirty || !tags.Contains(line) {
-				t.Fatalf("%d sets: set %d decodes to (%d, %v, dirty %v), want (%d, true, dirty %v)",
-					sets, set, got, valid, gotDirty, line, dirty)
+			want := decoded{line, true, dirty}
+			if got := decode(set); got != want || !tags.Contains(line) {
+				t.Fatalf("%d sets: set %d decodes to %+v, want %+v", sets, set, got, want)
 			}
-			if slot(set-1) != before || slot(set+1) != after {
+			if decode(set-1) != before || decode(set+1) != after {
 				t.Fatalf("%d sets: writing set %d changed a neighbour", sets, set)
+			}
+			written[set] = want
+		}
+		for set, want := range written {
+			if got := decode(set); got != want {
+				t.Fatalf("%d sets: set %d decodes to %+v after %d writes, want %+v", sets, set, got, n, want)
 			}
 		}
 	})

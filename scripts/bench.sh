@@ -7,7 +7,8 @@
 # NoL4, Alloy, BEAR, BW-Opt, LH, MC, Incl-Alloy, TIS, SC, Banshee and
 # TicToc; see simbench_test.go):
 #   - "benchmarks": ns/instr and allocs/instr of the steady-state hot path
-#     (BenchmarkSim*);
+#     (BenchmarkSim*), and the DRAM scheduler's exact work over it: picks
+#     per request and candidates priced per pick;
 #   - "setup": ms/op and MB/op of one paper-scale (1 GB L4) hier.NewSim, the
 #     tag arrays plus the functional prewarm (BenchmarkNewSimPaper).
 #
@@ -103,6 +104,8 @@ function keepmin(arr, key, v) {
 		v = $i + 0; unit = $(i + 1)
 		if (unit == "ns/instr") { t[who, name, pair] = v; if (who == "change") keepmin(ns, name, v) }
 		if (unit == "allocs/instr" && who == "change") keepmin(al, name, v)
+		if (unit == "picks/req" && who == "change") pk[name] = v
+		if (unit == "priced/pick" && who == "change") pr[name] = v
 		if (unit == "ns/op" && setup) { t[who, name, pair] = v / 1e6; if (who == "change") keepmin(ms, name, v / 1e6) }
 		if (unit == "B/op" && setup && who == "change") keepmin(mb, name, v / 1e6)
 	}
@@ -113,8 +116,8 @@ END {
 	if (baserev != "") printf "  \"base\": \"%s\",\n", baserev
 	printf "  \"benchmarks\": [\n"
 	for (i = 1; i <= nbench; i++)
-		printf "    {\"name\": \"%s\", \"ns_per_instr\": %s, \"allocs_per_instr\": %s}%s\n", \
-			bnames[i], ns[bnames[i]], al[bnames[i]], (i < nbench ? "," : "")
+		printf "    {\"name\": \"%s\", \"ns_per_instr\": %s, \"allocs_per_instr\": %s, \"picks_per_req\": %s, \"priced_per_pick\": %s}%s\n", \
+			bnames[i], ns[bnames[i]], al[bnames[i]], pk[bnames[i]], pr[bnames[i]], (i < nbench ? "," : "")
 	printf "  ],\n  \"setup\": [\n"
 	for (i = 1; i <= nsetup; i++)
 		printf "    {\"name\": \"%s\", \"ms_per_op\": %.1f, \"mb_per_op\": %.1f}%s\n", \

@@ -2,10 +2,14 @@ package bear_test
 
 // End-to-end hot-path benchmarks: BenchmarkSimAlloy and BenchmarkSimBEAR run
 // one complete simulation per iteration and report ns/instr and allocs/instr
-// for the measured (steady-state) phase. Construction and warm-up run
-// untimed — RunWarm grows the event queue, DRAM request freelists and
-// transaction pools to their working sizes first — so allocs/instr is the
-// true steady-state allocation rate, which the hot path keeps at zero.
+// for the measured (steady-state) phase, and the DRAM scheduler's work
+// over that phase: picks per request and candidates priced per pick,
+// summed over the L4 and main-memory DRAM. The work counters are exact, so
+// unlike the timings they do not move with the box. Construction and
+// warm-up run untimed — RunWarm grows the event queue, DRAM request
+// freelists and transaction pools to their working sizes first — so
+// allocs/instr is the true steady-state allocation rate, which the hot path
+// keeps at zero.
 //
 // scripts/bench.sh runs these and snapshots the numbers into BENCH_<n>.json
 // so the performance trajectory is tracked across PRs.
@@ -15,11 +19,24 @@ import (
 	"testing"
 
 	"bear/internal/config"
+	"bear/internal/dram"
 	"bear/internal/hier"
 	"bear/internal/trace"
 )
 
-// benchSim reports steady-state ns/instr and allocs/instr for one design.
+// dramWork sums the scheduler work counters of a simulation's DRAMs.
+func dramWork(sim *hier.Sim) dram.Work {
+	w := sim.Bundle.MemDRAM.Work
+	if l4 := sim.Bundle.L4DRAM; l4 != nil {
+		w.Requests += l4.Work.Requests
+		w.Picks += l4.Work.Picks
+		w.Priced += l4.Work.Priced
+	}
+	return w
+}
+
+// benchSim reports steady-state ns/instr, allocs/instr, DRAM picks per
+// request and DRAM candidates priced per pick for one design.
 func benchSim(b *testing.B, design config.Design) {
 	b.Helper()
 	const (
@@ -29,7 +46,7 @@ func benchSim(b *testing.B, design config.Design) {
 		meas  = uint64(500_000)
 	)
 	sys := config.Default(scale).WithDesign(design)
-	var instr, mallocs uint64
+	var instr, mallocs, requests, picks, priced uint64
 	var before, after runtime.MemStats
 	b.ResetTimer()
 	b.StopTimer()
@@ -43,6 +60,7 @@ func benchSim(b *testing.B, design config.Design) {
 			b.Fatal(err)
 		}
 		sim.RunWarm()
+		w0 := dramWork(sim)
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		res, err := sim.Run()
@@ -51,6 +69,10 @@ func benchSim(b *testing.B, design config.Design) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		w := dramWork(sim)
+		requests += w.Requests - w0.Requests
+		picks += w.Picks - w0.Picks
+		priced += w.Priced - w0.Priced
 		mallocs += after.Mallocs - before.Mallocs
 		instr += res.Instructions
 	}
@@ -59,6 +81,11 @@ func benchSim(b *testing.B, design config.Design) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instr), "ns/instr")
 	b.ReportMetric(float64(mallocs)/float64(instr), "allocs/instr")
+	if requests == 0 || picks == 0 {
+		b.Fatal("no DRAM requests measured")
+	}
+	b.ReportMetric(float64(picks)/float64(requests), "picks/req")
+	b.ReportMetric(float64(priced)/float64(picks), "priced/pick")
 }
 
 // BenchmarkSimAlloy measures the Alloy baseline (MAP-I predictor, no BEAR
