@@ -23,8 +23,8 @@ vet:
 
 # lint runs simlint, the repository's own static analyzer: determinism
 # (wall clock / math/rand / os.Getenv / map-order folds / stray goroutines),
-# //bear:hotpath alloc-freedom, pool discipline, engine contracts, byte
-# attribution, event-time monotonicity and the stats census. See
+# //bear:hotpath alloc-freedom, pool discipline, engine contracts,
+# event-time monotonicity and the stats census. See
 # ARCHITECTURE.md "Enforced invariants" for the rule catalogue. -cache keys
 # the result on a hash of every non-test .go file (.simlint.cache), so a
 # clean re-run replays without re-type-checking the module.
@@ -47,7 +47,9 @@ bench-snapshot:
 # bench-compare diffs the two newest BENCH_<n>.json snapshots (ns/instr and
 # allocs/instr per benchmark, set-up ms/op and MB/op per design) and prints
 # the newer one's paired rows, if any; it exits non-zero on a >5% ns/instr
-# regression.
+# regression, a set-up MB/op rise above 1%, a work counter that differs
+# between the two, or a paired row lost 9 in 10 times at a median ratio
+# above 1.05.
 bench-compare:
 	scripts/bench_compare.sh
 

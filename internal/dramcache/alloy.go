@@ -63,20 +63,25 @@ type tadTags struct {
 	channels   uint64
 	banks      uint64
 
-	// slots packs one width-byte little-endian slot per set, plus 8 bytes
-	// of tail padding so every slot can be read with one 8-byte load. A
-	// slot holds (tag+1) | dirty for a resident line, where the tag is
-	// line / sets (the set implies the remainder), and zero for an empty
-	// set. The width is the least that holds the widest tag+1 installed so
-	// far below the dirty bit, the slot's top bit; fit widens it. A new
-	// store is width 0 over the bare 8-byte pad, so every set reads as
-	// empty.
+	// slots packs one width-bit little-endian slot per set, set's at bit
+	// offset set*width, plus 8 bytes of tail padding so every slot can be
+	// read with one 8-byte load. A slot holds (tag+1) | dirty for a resident
+	// line, where the tag is line / sets (the set implies the remainder),
+	// and zero for an empty set. The width is the least that holds the
+	// widest tag+1 installed so far below the dirty bit, the slot's top bit,
+	// rounded up to 64 past maxSlotBits; fit widens it. A new store is width
+	// 0 over the bare 8-byte pad, so every set reads as empty.
 	slots []byte
 	width uint64
 	dirty uint64 // the slot's top bit; 0 at width 0
 
 	inclusive bool
 }
+
+// maxSlotBits is the widest slot that, at any bit shift within its first
+// byte, still fits inside the 8-byte word loaded at that byte. Wider slots
+// take a full 64 bits, which keeps every slot byte-aligned.
+const maxSlotBits = 57
 
 // fit widens the slots, if need be, so that v fits below the dirty bit.
 func (t *tadTags) fit(v uint64) {
@@ -89,9 +94,12 @@ func (t *tadTags) fit(v uint64) {
 // bit. It re-encodes every resident slot into a new slab, moving its dirty
 // bit to the new top bit, and drops the old slab.
 func (t *tadTags) widen(v uint64) {
-	width := uint64(bits.Len64(v)+1+7) / 8
-	slots := make([]byte, t.sets.n*width+8)
-	dirty := uint64(1) << (8*width - 1)
+	width := uint64(bits.Len64(v)) + 1
+	if width > maxSlotBits {
+		width = 64
+	}
+	slots := make([]byte, (t.sets.n*width+7)/8+8)
+	dirty := uint64(1) << (width - 1)
 	if t.width > 0 { // at width 0 there is nothing to re-encode
 		for set := range t.sets.n {
 			if w := t.slot(set); w != 0 {
@@ -105,36 +113,24 @@ func (t *tadTags) widen(v uint64) {
 	t.slots, t.width, t.dirty = slots, width, dirty
 }
 
-// slot reads set's slot: one unaligned 8-byte load, masked to the slot.
+// slot reads set's slot: one unaligned 8-byte load at the slot's first
+// byte, shifted down to the slot's first bit and masked to its width.
 func (t *tadTags) slot(set uint64) uint64 {
-	return binary.LittleEndian.Uint64(t.slots[set*t.width:]) & (t.dirty<<1 - 1)
+	off := set * t.width
+	return binary.LittleEndian.Uint64(t.slots[off>>3:]) >> (off & 7) & (t.dirty<<1 - 1)
 }
 
-// putSlot writes set's slot with stores only: a full word at width 8, and
-// otherwise one 4-, 2- or 1-byte store for each bit of the width, chosen by
-// branches that are predictable because the width rarely changes. It is
-// small enough to inline. Merging v into an 8-byte read of the slot's
-// window instead would stall on store forwarding between adjacent slots.
-// It takes the slab and width rather than the tadTags so Install can hoist
-// both out of its loop: the compiler cannot prove the stores leave t's
-// fields alone, and would reload them for every line.
+// putSlot writes set's slot with one read-modify-write of the 8-byte word
+// at the slot's first byte, leaving the neighbouring slots' bits as they
+// were. It takes the slab and width rather than the tadTags so callers can
+// hoist both out of a loop: the compiler cannot prove the store leaves t's
+// fields alone, and would reload them for every slot.
 func putSlot(slots []byte, width, set, v uint64) {
-	b := slots[set*width:]
-	if width == 8 {
-		binary.LittleEndian.PutUint64(b, v)
-		return
-	}
-	if width&4 != 0 {
-		binary.LittleEndian.PutUint32(b, uint32(v))
-		b, v = b[4:], v>>32
-	}
-	if width&2 != 0 {
-		binary.LittleEndian.PutUint16(b, uint16(v))
-		b, v = b[2:], v>>16
-	}
-	if width&1 != 0 {
-		b[0] = byte(v)
-	}
+	off := set * width
+	b := slots[off>>3:]
+	sh := off & 7
+	mask := (uint64(1)<<width - 1) << sh // all ones at width 64, where sh is 0
+	binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)&^mask|v<<sh)
 }
 
 // line decodes set's slot into its resident line and state. An empty set
@@ -220,10 +216,11 @@ func (t *tadTags) Fill(_ uint64, line, _ uint64, _ bool) FillResult {
 
 // WritebackHit implements TagStore. The engine calls it only on a hit, so
 // the set's slot is never empty; setting the dirty bit touches only the
-// slot's top byte.
+// byte that holds the slot's top bit.
 func (t *tadTags) WritebackHit(line uint64) {
 	_, set := t.sets.split(line)
-	t.slots[set*t.width+t.width-1] |= 0x80
+	top := set*t.width + t.width - 1
+	t.slots[top>>3] |= 1 << (top & 7)
 }
 
 // WritebackFill implements TagStore: evict, install dirty.

@@ -2,6 +2,7 @@ package dramcache
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"bear/internal/trace"
@@ -39,9 +40,9 @@ type tadPiece struct {
 // the covering piece with the largest late and, among equal late, the
 // highest core; two pieces of one core with equal late never share a set,
 // since a core has one line per position. So the pieces are filled in
-// ascending (late, core) order, each with one putSlot doubled out by copy,
-// and the last fill of every set is its last writer. The slots are first
-// widened once to the largest piece tag, the width Install ends at.
+// ascending (late, core) order, each by fillSlots, and the last fill of
+// every set is its last writer. The slots are first widened once to the
+// largest piece tag, the width Install ends at.
 func (t *tadTags) prewarm(cores [][]trace.Run) {
 	sets := t.sets.n
 	var pieces []tadPiece
@@ -64,11 +65,34 @@ func (t *tadTags) prewarm(cores [][]trace.Run) {
 	})
 	slots, width := t.slots, t.width
 	for _, p := range pieces {
-		seg := slots[p.set*width : (p.set+p.n)*width]
-		putSlot(slots, width, p.set, p.tag)
-		for done := width; done < uint64(len(seg)); done *= 2 {
-			copy(seg[done:], seg[:done])
-		}
+		fillSlots(slots, width, p.set, p.n, p.tag)
+	}
+}
+
+// fillSlots writes v to the n slots from set on, as n putSlots would. The
+// bits of equal slots repeat every 8/gcd(width, 8) slots, a whole number of
+// bytes, and from a set whose slot starts on a byte boundary they repeat
+// byte for byte. So fillSlots writes the slots one by one up to one period
+// past the first such set, doubles that period's bytes out with copy over
+// every whole period that follows, and writes the tail one by one.
+func fillSlots(slots []byte, width, set, n, v uint64) {
+	period := uint64(8) >> bits.TrailingZeros64(width|8)
+	end := set + n
+	first := (set + period - 1) / period * period
+	head := min(end, first+period)
+	for s := set; s < head; s++ {
+		putSlot(slots, width, s, v)
+	}
+	if head == end {
+		return
+	}
+	whole := first + (end-first)/period*period
+	seg := slots[first*width/8 : whole*width/8]
+	for done := period * width / 8; done < uint64(len(seg)); done *= 2 {
+		copy(seg[done:], seg[:done])
+	}
+	for s := whole; s < end; s++ {
+		putSlot(slots, width, s, v)
 	}
 }
 

@@ -84,6 +84,44 @@ func TestPrewarmRunsMatchLineInstall(t *testing.T) {
 	}
 }
 
+// TestFillSlotsMatchesPutSlot pins the run prewarm's bulk fill to one
+// putSlot per slot at every slot width, every bit shift of the first slot
+// within its byte, and every length from 0 to three periods and one slot,
+// over a slab of random bytes: the slabs must be byte-equal, so the fill
+// writes exactly its own slots' bits.
+func TestFillSlotsMatchesPutSlot(t *testing.T) {
+	r := rng.New(1)
+	for width := uint64(2); width <= 64; width++ {
+		if width > maxSlotBits && width < 64 {
+			continue // not a slot width
+		}
+		// The period: the fewest slots that fill a whole number of bytes.
+		period := uint64(1)
+		for period*width%8 != 0 {
+			period++
+		}
+		const sets = 64
+		for start := period; start < 2*period; start++ {
+			for n := range 3*period + 2 {
+				v := r.Uint64() & (uint64(1)<<width - 1)
+				want := make([]byte, (sets*width+7)/8+8)
+				for i := range want {
+					want[i] = byte(r.Uint64())
+				}
+				got := bytes.Clone(want)
+				for set := start; set < start+n; set++ {
+					putSlot(want, width, set, v)
+				}
+				fillSlots(got, width, start, n, v)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("width %d, %d slots from set %d: the fill differs from putSlot at byte %d",
+						width, n, start, firstDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
 // firstDiff is the first index at which a and b, of equal length, differ.
 func firstDiff(a, b []byte) int {
 	for i := range a {

@@ -38,7 +38,7 @@ func FuzzTADSetIndex(f *testing.F) {
 const maxLine = 1 << 58
 
 // TestTADSlotWidth pins the slot width to the widest tag installed: none
-// for an empty store, two bytes for xalanc at paper scale, three for mcf at
+// for an empty store, 12 bits for xalanc at paper scale, 18 for mcf at
 // 1/64, and a full word for a single set holding the highest line.
 func TestTADSlotWidth(t *testing.T) {
 	fx := newFixture()
@@ -61,8 +61,8 @@ func TestTADSlotWidth(t *testing.T) {
 		scale int
 		width uint64
 	}{
-		{"xalanc", 1, 2},
-		{"mcf", 64, 3},
+		{"xalanc", 1, 12},
+		{"mcf", 64, 18},
 	} {
 		cfg := config.Default(c.scale)
 		wl, err := trace.Rate(c.bench, cfg.Core.Count, c.scale, 1)
@@ -72,41 +72,45 @@ func TestTADSlotWidth(t *testing.T) {
 		ctl := NewAlloy(c.bench, cfg.AlloySets(), fx.l4, fx.mem, Hooks{}, AlloyOpts{})
 		ctl.Prewarm(warmRuns(cfg, wl))
 		if got := ctl.tags.(*tadTags).width; got != c.width {
-			t.Errorf("%s at 1/%d: prewarm leaves %d-byte slots, want %d", c.bench, c.scale, got, c.width)
+			t.Errorf("%s at 1/%d: prewarm leaves %d-bit slots, want %d", c.bench, c.scale, got, c.width)
 		}
 	}
 
 	one := NewAlloy("one", 1, fx.l4, fx.mem, Hooks{}, AlloyOpts{})
 	one.Install(maxLine - 1)
-	if got := one.tags.(*tadTags).width; got != 8 {
-		t.Errorf("one set holding line maxLine-1: %d-byte slots, want 8", got)
+	if got := one.tags.(*tadTags).width; got != 64 {
+		t.Errorf("one set holding line maxLine-1: %d-bit slots, want 64", got)
 	}
 }
 
-// TestTADWideningKeepsDirtyLine widens a store holding a dirty line at one
-// byte per slot to every wider width: the line must stay resident and
-// dirty, with its dirty bit moved to the new top bit.
+// TestTADWideningKeepsDirtyLine widens a store holding a dirty line in
+// 3-bit slots to every wider width, 4 to maxSlotBits bits and the full
+// word: the line must stay resident and dirty, with its dirty bit moved to
+// the new top bit.
 func TestTADWideningKeepsDirtyLine(t *testing.T) {
 	fx := newFixture()
-	for width := uint64(2); width <= 8; width++ {
+	for width := uint64(4); width <= 64; width++ {
+		if width > maxSlotBits && width < 64 {
+			continue // no tag widens to these
+		}
 		tags := NewAlloy("widen", 2, fx.l4, fx.mem, Hooks{}, AlloyOpts{}).tags.(*tadTags)
 		tags.WritebackFill(0, 4) // set 0, tag 2
-		if tags.width != 1 {
-			t.Fatalf("one small dirty line: %d-byte slots, want 1", tags.width)
+		if tags.width != 3 {
+			t.Fatalf("one small dirty line: %d-bit slots, want 3", tags.width)
 		}
 		// The largest tag+1 below the top bit of the target width, short of
-		// maxLine at width 8.
-		tag := min(uint64(1)<<(8*width-1)-2, (maxLine-1)/2-1)
+		// maxLine at 64 bits.
+		tag := min(uint64(1)<<(width-1)-2, (maxLine-1)/2-1)
 		tags.Fill(0, 2*tag+1, 0, false)
 		if tags.width != width {
-			t.Fatalf("tag %#x: %d-byte slots, want %d", tag, tags.width, width)
+			t.Fatalf("tag %#x: %d-bit slots, want %d", tag, tags.width, width)
 		}
 		if line, valid, dirty := tags.line(0); line != 4 || !valid || !dirty || !tags.Contains(4) {
-			t.Fatalf("widening 1 to %d bytes: set 0 decodes to (%d, %v, dirty %v), want (4, true, dirty true)",
+			t.Fatalf("widening 3 to %d bits: set 0 decodes to (%d, %v, dirty %v), want (4, true, dirty true)",
 				width, line, valid, dirty)
 		}
 		if line, valid, dirty := tags.line(1); line != 2*tag+1 || !valid || dirty {
-			t.Fatalf("widening 1 to %d bytes: set 1 decodes to (%d, %v, dirty %v), want (%d, true, dirty false)",
+			t.Fatalf("widening 3 to %d bits: set 1 decodes to (%d, %v, dirty %v), want (%d, true, dirty false)",
 				width, line, valid, dirty, 2*tag+1)
 		}
 	}
@@ -114,23 +118,29 @@ func TestTADWideningKeepsDirtyLine(t *testing.T) {
 
 // FuzzTADSlots drives random writes through a TAD store with a random set
 // count. The first write installs the given tag, and the rest draw tags of
-// every magnitude, so the store widens step by step. After each write the
-// written set decodes to its line and dirty bit and both neighbouring sets
-// decode as before; widening rewrites their raw bytes, so the check
-// compares decoded slots. At the end every written set still decodes to
-// its last write.
+// every magnitude, so the store widens step by step. The first write lands
+// on set seed % sets. After each write the written set decodes to its line
+// and dirty bit and both neighbouring sets decode as before; widening
+// rewrites their raw bits, so the check compares decoded slots. At the end
+// every written set still decodes to its last write.
 func FuzzTADSlots(f *testing.F) {
 	for _, sets := range []uint64{1, 2, 3, 28, 1<<11 + 1, 1 << 19, 1<<20 - 1} {
 		f.Add(sets, uint64(1), uint16(64), uint64(0))
 	}
 	// Tags on each side of every width boundary: tag+1 just below and at
-	// the dirty bit of widths 1 to 7.
+	// the dirty bit of widths 2 to maxSlotBits, the last of which jumps to
+	// 64 bits.
 	for _, sets := range []uint64{1, 3} {
-		for width := 1; width < 8; width++ {
-			top := uint64(1) << (8*width - 1)
+		for width := 2; width <= maxSlotBits; width++ {
+			top := uint64(1) << (width - 1)
 			f.Add(sets, uint64(width), uint16(16), top-2)
 			f.Add(sets, uint64(width), uint16(16), top-1)
 		}
+	}
+	// A first write at each of the 8 bit shifts within a byte: in 13-bit
+	// slots, sets 0 to 7 start at shifts 0, 5, 2, 7, 4, 1, 6 and 3.
+	for set := range uint64(8) {
+		f.Add(uint64(9), set, uint16(16), uint64(1)<<11)
 	}
 	f.Fuzz(func(t *testing.T, sets, seed uint64, n uint16, tag uint64) {
 		// Up to 2^20 sets covers every slot width.
@@ -154,7 +164,7 @@ func FuzzTADSlots(f *testing.F) {
 		for i := range n {
 			line := r.Uint64n(maxLine) >> r.Intn(59)
 			if i == 0 {
-				line = tag*sets + r.Uint64n(sets)
+				line = tag*sets + seed%sets
 				if line >= maxLine {
 					line -= sets
 				}

@@ -49,7 +49,7 @@ func TestNoTADWideningAfterSetup(t *testing.T) {
 				t.Helper()
 				s, w := dramcache.TADSlab(sim.Bundle.Cache)
 				if &s[0] != &slots[0] || w != width {
-					t.Fatalf("%s widened the slots from %d to %d bytes", phase, width, w)
+					t.Fatalf("%s widened the slots from %d to %d bits", phase, width, w)
 				}
 			}
 			sim.RunWarm()

@@ -98,15 +98,15 @@ func TestRunUntil(t *testing.T) {
 		q.At(at, func(uint64) { ran = append(ran, at) })
 	}
 	q.RunUntil(12)
-	if len(ran) != 2 {
-		t.Fatalf("RunUntil(12) ran %v", ran)
+	if len(ran) != 2 || q.Executed() != 2 {
+		t.Fatalf("RunUntil(12) ran %v, counting %d events", ran, q.Executed())
 	}
 	if q.Now() != 12 {
 		t.Fatalf("RunUntil left time at %d, want 12", q.Now())
 	}
 	q.RunUntil(100)
-	if len(ran) != 4 || q.Now() != 100 {
-		t.Fatalf("RunUntil(100): ran=%v now=%d", ran, q.Now())
+	if len(ran) != 4 || q.Now() != 100 || q.Executed() != 4 {
+		t.Fatalf("RunUntil(100): ran=%v now=%d executed=%d", ran, q.Now(), q.Executed())
 	}
 }
 
@@ -118,8 +118,8 @@ func TestReset(t *testing.T) {
 	}
 	q.Step()
 	q.Reset()
-	if q.Len() != 0 || q.Now() != 0 {
-		t.Fatalf("after Reset: len=%d now=%d, want 0/0", q.Len(), q.Now())
+	if q.Len() != 0 || q.Now() != 0 || q.Executed() != 0 {
+		t.Fatalf("after Reset: len=%d now=%d executed=%d, want 0/0/0", q.Len(), q.Now(), q.Executed())
 	}
 	// The queue must be fully reusable: time restarts at zero (scheduling
 	// at cycle 0 is legal again) and FIFO tie-breaking starts over.
@@ -127,8 +127,8 @@ func TestReset(t *testing.T) {
 	q.At(0, func(uint64) { got = append(got, 0) })
 	q.At(0, func(uint64) { got = append(got, 1) })
 	q.Run(nil)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("reused queue ran %v, want [0 1]", got)
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 || q.Executed() != 2 {
+		t.Fatalf("reused queue ran %v, counting %d events, want [0 1]", got, q.Executed())
 	}
 	if ran != 1 {
 		t.Fatalf("stale callbacks survived Reset: ran=%d", ran)

@@ -62,10 +62,12 @@ go test -run '^$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/faultpoint
 # line % sets for every set count. Crashers land in
 # internal/dramcache/testdata/fuzz.
 go test -run '^$' -fuzz FuzzTADSetIndex -fuzztime 10s ./internal/dramcache
-# And for its packed slots: random set counts and write sequences, with
-# tags of every magnitude so the slots widen step by step, must decode back
-# to the written line and dirty bit and leave both neighbouring sets
-# decoding as before (widening rewrites their bytes, not their contents).
+# And for its bit-packed slots: random set counts and write sequences, with
+# tags of every magnitude so the slots widen step by step (seeded at every
+# width boundary, the 57 -> 64 bit jump included, and at all 8 bit shifts
+# within a byte), must decode back to the written line and dirty bit and
+# leave both neighbouring sets decoding as before (widening rewrites their
+# bits, not their contents).
 go test -run '^$' -fuzz FuzzTADSlots -fuzztime 10s ./internal/dramcache
 # And for its run prewarm: random set counts and per-core run lists, with
 # cross-core overlaps and runs that wrap onto their own core, must leave the

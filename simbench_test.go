@@ -2,10 +2,11 @@ package bear_test
 
 // End-to-end hot-path benchmarks: BenchmarkSimAlloy and BenchmarkSimBEAR run
 // one complete simulation per iteration and report ns/instr and allocs/instr
-// for the measured (steady-state) phase, and the DRAM scheduler's work
-// over that phase: picks per request and candidates priced per pick,
-// summed over the L4 and main-memory DRAM. The work counters are exact, so
-// unlike the timings they do not move with the box. Construction and
+// for the measured (steady-state) phase, and the simulator's work over that
+// phase: events executed per instruction, and the DRAM scheduler's picks
+// per request and candidates priced per pick, summed over the L4 and
+// main-memory DRAM. The work counters are exact, so unlike the timings they
+// do not move with the box. Construction and
 // warm-up run untimed — RunWarm grows the event queue, DRAM request
 // freelists and transaction pools to their working sizes first — so
 // allocs/instr is the true steady-state allocation rate, which the hot path
@@ -35,8 +36,9 @@ func dramWork(sim *hier.Sim) dram.Work {
 	return w
 }
 
-// benchSim reports steady-state ns/instr, allocs/instr, DRAM picks per
-// request and DRAM candidates priced per pick for one design.
+// benchSim reports steady-state ns/instr, allocs/instr, events per
+// instruction, DRAM picks per request and DRAM candidates priced per pick
+// for one design.
 func benchSim(b *testing.B, design config.Design) {
 	b.Helper()
 	const (
@@ -46,7 +48,7 @@ func benchSim(b *testing.B, design config.Design) {
 		meas  = uint64(500_000)
 	)
 	sys := config.Default(scale).WithDesign(design)
-	var instr, mallocs, requests, picks, priced uint64
+	var instr, mallocs, events, requests, picks, priced uint64
 	var before, after runtime.MemStats
 	b.ResetTimer()
 	b.StopTimer()
@@ -60,7 +62,7 @@ func benchSim(b *testing.B, design config.Design) {
 			b.Fatal(err)
 		}
 		sim.RunWarm()
-		w0 := dramWork(sim)
+		w0, e0 := dramWork(sim), sim.Q.Executed()
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		res, err := sim.Run()
@@ -69,6 +71,7 @@ func benchSim(b *testing.B, design config.Design) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		events += sim.Q.Executed() - e0
 		w := dramWork(sim)
 		requests += w.Requests - w0.Requests
 		picks += w.Picks - w0.Picks
@@ -81,6 +84,7 @@ func benchSim(b *testing.B, design config.Design) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instr), "ns/instr")
 	b.ReportMetric(float64(mallocs)/float64(instr), "allocs/instr")
+	b.ReportMetric(float64(events)/float64(instr), "events/instr")
 	if requests == 0 || picks == 0 {
 		b.Fatal("no DRAM requests measured")
 	}
