@@ -15,16 +15,18 @@ test:
 # race runs the full suite under the race detector. The parallel experiment
 # Runner is exercised by internal/exp's determinism and singleflight tests,
 # so this catches races in the sweep engine, not just in library code.
+# TestSteadyStateAllocs skips under -race (about 10x slower there), so it
+# runs once more without it.
 race:
 	$(GO) test -race ./...
+	$(GO) test -run '^TestSteadyStateAllocs$$' ./internal/hier
 
 vet:
 	$(GO) vet ./...
 
 # lint runs simlint, the repository's own static analyzer: determinism
 # (wall clock / math/rand / os.Getenv / map-order folds / stray goroutines),
-# //bear:hotpath alloc-freedom, pool discipline, engine contracts,
-# event-time monotonicity and the stats census. See
+# typed invariant panics, event-time monotonicity and the stats census. See
 # ARCHITECTURE.md "Enforced invariants" for the rule catalogue. -cache keys
 # the result on a hash of every non-test .go file (.simlint.cache), so a
 # clean re-run replays without re-type-checking the module.

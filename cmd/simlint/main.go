@@ -1,8 +1,7 @@
 // Command simlint is the repository's static analyzer: it enforces the
-// determinism, hot-path alloc-freedom, pool-discipline, engine-contract,
-// typed-invariant, event-time and stats-census invariants described in
-// ARCHITECTURE.md ("Enforced invariants"), using only the Go standard
-// library.
+// determinism, map-order, goroutine, typed-invariant, event-time and
+// stats-census invariants described in ARCHITECTURE.md ("Enforced
+// invariants"), using only the Go standard library.
 //
 // Usage:
 //

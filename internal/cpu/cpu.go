@@ -159,8 +159,6 @@ type doneToken struct {
 // core. The token's absolute ring position resolves the entry directly: a
 // pending load is never popped (popCompleted stops at a pending head), so
 // pos-popped is always a live offset and no window scan is needed.
-//
-//bear:hotpath
 func (d *doneToken) complete(now uint64) {
 	c := d.c
 	p := c.outstanding.At(int(d.pos - c.outstanding.popped))
@@ -197,6 +195,7 @@ type Core struct {
 
 	runFn  event.Func // pre-bound c.run, shared by every wakeup
 	tokens *doneToken // pooled load-completion callbacks
+	live   int        // tokens handed out and not yet recycled
 
 	op      trace.Op
 	opValid bool
@@ -261,8 +260,8 @@ func (c *Core) crossMark() {
 	c.updateMark()
 }
 
-//bear:acquire
 func (c *Core) getToken(idx uint64) *doneToken {
+	c.live++
 	d := c.tokens
 	if d == nil {
 		d = &doneToken{c: c}
@@ -278,7 +277,13 @@ func (c *Core) getToken(idx uint64) *doneToken {
 func (c *Core) putToken(d *doneToken) {
 	d.next = c.tokens
 	c.tokens = d
+	c.live--
 }
+
+// LiveTokens reports load-completion tokens handed out and not yet
+// recycled: zero once the event queue has drained (the freelist-leak
+// invariant).
+func (c *Core) LiveTokens() int { return c.live }
 
 // Retired returns the instructions retired so far.
 func (c *Core) Retired() uint64 { return c.retired }
@@ -342,8 +347,6 @@ func (c *Core) Halt() { c.halted = true }
 // instructions are not counted): rate-mode measurement ends when the
 // slowest core completes its budget, and the fast cores must keep loading
 // the shared memory system until then so contention stays realistic.
-//
-//bear:hotpath
 func (c *Core) run(now uint64) {
 	if c.running {
 		return
@@ -442,8 +445,6 @@ func (c *Core) popCompleted() {
 // known completion time it wakes then; async completions re-invoke run via
 // their callbacks. anyLoad selects between MSHR stalls (any completion
 // helps) and window stalls (only the oldest helps).
-//
-//bear:hotpath
 func (c *Core) waitForLoads(anyLoad bool) {
 	stallFrom := c.time
 	var wake uint64

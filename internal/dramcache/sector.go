@@ -195,7 +195,8 @@ func NewSector(name string, lines uint64, sectorLines uint64, ways int, l4 *dram
 		sets = 1
 	}
 	frames := sets * uint64(ways)
-	c := &Controller{name: name, lay: sectorLayout, l4: l4, mem: mem, hooks: hooks, wb: directWB{}}
+	c := newController(name, sectorLayout, l4, mem, hooks)
+	c.wb = directWB{}
 	c.tags = &sectorTags{
 		c:         c,
 		tags:      sram.New(sets, ways),

@@ -103,7 +103,7 @@ var tictocLayout = Layout{
 // pages of pageLines lines, with the given page-set associativity.
 func NewTicToc(name string, lines, pageLines uint64, ways int, l4 *dram.Memory, mem *MainMemory, hooks Hooks) *TicToc {
 	checkPageGeometry(lines, pageLines)
-	c := &Controller{name: name, lay: tictocLayout, l4: l4, mem: mem, hooks: hooks}
+	c := newController(name, tictocLayout, l4, mem, hooks)
 	pt := newPageTags(c, lines, pageLines, ways, false)
 	c.tags = pt
 

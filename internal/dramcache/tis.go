@@ -113,7 +113,8 @@ func NewTIS(name string, lines uint64, ways int, l4 *dram.Memory, mem *MainMemor
 	if sets == 0 {
 		sets = 1
 	}
-	c := &Controller{name: name, lay: tisLayout, l4: l4, mem: mem, hooks: hooks, wb: directWB{}}
+	c := newController(name, tisLayout, l4, mem, hooks)
+	c.wb = directWB{}
 	c.tags = &sramTags{
 		c:        c,
 		tags:     sram.New(sets, ways),

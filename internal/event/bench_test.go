@@ -45,10 +45,10 @@ func BenchmarkEventQueueSpill(b *testing.B) {
 	}
 }
 
-// TestSteadyStateAllocFree pins the //bear:hotpath contract on the queue
-// kernels: once the node slab and heap backing array have grown to the
-// working size, At/Step allocate nothing — on the calendar fast path and
-// through the spill path alike.
+// TestSteadyStateAllocFree pins the queue kernels' alloc-freedom: once the
+// node slab and heap backing array have grown to the working size, At/Step
+// allocate nothing — on the calendar fast path and through the spill path
+// alike.
 func TestSteadyStateAllocFree(t *testing.T) {
 	var q Queue
 	fn := Func(func(uint64) {})

@@ -98,7 +98,6 @@ func (q *Queue) Executed() uint64 { return q.seq - uint64(q.Len()) }
 // At schedules fn to run at cycle at. Scheduling in the past is a programming
 // error and panics, because it would silently corrupt causality.
 //
-//bear:hotpath
 //bear:clock at
 func (q *Queue) At(at uint64, fn Func) {
 	if at < q.now {
@@ -114,15 +113,12 @@ func (q *Queue) At(at uint64, fn Func) {
 }
 
 // After schedules fn to run delay cycles from now.
-//
-//bear:hotpath
 func (q *Queue) After(delay uint64, fn Func) {
 	q.At(q.now+delay, fn)
 }
 
 // pushCal appends an event to its cycle's bucket in O(1).
 //
-//bear:hotpath
 //bear:clock at
 func (q *Queue) pushCal(at uint64, fn Func) {
 	if q.heads == nil {
@@ -159,8 +155,6 @@ func (q *Queue) pushCal(at uint64, fn Func) {
 // bound and walks the occupancy bitmap a word at a time, then caches the
 // answer — pops and time advance only move the bound forward, pushes behind
 // it lower it, so the scan is amortised O(1) per event.
-//
-//bear:hotpath
 func (q *Queue) nextCalCycle() uint64 {
 	s := q.scan
 	if s < q.now {
@@ -182,8 +176,6 @@ func (q *Queue) nextCalCycle() uint64 {
 }
 
 // popCal removes and returns the head event of cycle c's bucket.
-//
-//bear:hotpath
 func (q *Queue) popCal(c uint64) (fn Func) {
 	b := c & calMask
 	ref := q.heads[b]
@@ -312,8 +304,6 @@ func (q *Queue) peek() (at uint64, ok bool) {
 // the queue is empty. The calendar and the heap are merged by (cycle,
 // scheduling order), so a far-future event that has aged into the calendar's
 // window still runs in exactly its scheduled position.
-//
-//bear:hotpath
 func (q *Queue) Step() bool {
 	var at uint64
 	var fn Func

@@ -57,8 +57,6 @@ type waiter struct {
 
 // onFill is the L4 read-completion callback: it installs the line, services
 // every merged waiter, and recycles the entry.
-//
-//bear:hotpath
 func (e *missEntry) onFill(t uint64, res dramcache.ReadResult) {
 	h := e.h
 	h.pending.del(e.line)
@@ -84,17 +82,17 @@ type Hierarchy struct {
 	l3 *sram.Cache
 	l4 dramcache.Cache
 
-	pending  missTable
-	missFree *missEntry // recycled missEntry freelist
+	pending    missTable
+	missFree   *missEntry // recycled missEntry freelist
+	liveMisses int        // miss entries handed out and not yet recycled
 
 	Counters Counters
 }
 
 // getMiss returns a pooled miss entry for line, allocating (and binding its
 // fill callback) only when the freelist is empty.
-//
-//bear:acquire
 func (h *Hierarchy) getMiss(line uint64, coreID int, store bool) *missEntry {
+	h.liveMisses++
 	e := h.missFree
 	if e == nil {
 		e = &missEntry{h: h}
@@ -115,6 +113,7 @@ func (h *Hierarchy) putMiss(e *missEntry) {
 	e.waiters = e.waiters[:0]
 	e.next = h.missFree
 	h.missFree = e
+	h.liveMisses--
 }
 
 // New builds the hierarchy for cfg with cores private cache pairs. The L4
@@ -201,8 +200,6 @@ func (h *Hierarchy) onBackInvalidate(line uint64) bool {
 }
 
 // Load implements cpu.MemPort.
-//
-//bear:hotpath
 func (h *Hierarchy) Load(now uint64, coreID int, line, pc uint64, done event.Func) (uint64, bool) {
 	h.Counters.L1Accesses++
 	if h.l1[coreID].Access(line, false) {
@@ -228,8 +225,6 @@ func (h *Hierarchy) Load(now uint64, coreID int, line, pc uint64, done event.Fun
 // Store implements cpu.MemPort. Stores are posted: they allocate through
 // the hierarchy (write-allocate) and mark the L1 copy dirty, but never
 // block the core.
-//
-//bear:hotpath
 func (h *Hierarchy) Store(now uint64, coreID int, line, pc uint64) {
 	h.Counters.L1Accesses++
 	if h.l1[coreID].Access(line, true) {
@@ -253,8 +248,6 @@ func (h *Hierarchy) Store(now uint64, coreID int, line, pc uint64) {
 
 // miss handles an L3 miss with MSHR merging: concurrent requests for the
 // same line share one L4 access.
-//
-//bear:hotpath
 func (h *Hierarchy) miss(now uint64, coreID int, line, pc uint64, store bool, done event.Func) {
 	if e := h.pending.get(line); e != nil {
 		h.Counters.MSHRMerges++
@@ -328,8 +321,6 @@ func (h *Hierarchy) fillL1(coreID int, line uint64, dirty bool, aux uint8) {
 // fillL1Miss installs a line known absent from the L1 — the caller observed
 // the miss in the same event, with nothing in between that could have filled
 // it — so the set is swept exactly once.
-//
-//bear:hotpath
 func (h *Hierarchy) fillL1Miss(coreID int, line uint64, dirty bool, aux uint8) {
 	ev := h.l1[coreID].Fill(line, dirty, aux)
 	if ev.Valid && ev.Dirty {
@@ -338,8 +329,6 @@ func (h *Hierarchy) fillL1Miss(coreID int, line uint64, dirty bool, aux uint8) {
 }
 
 // fillL2 installs a line in a private L2, cascading its victim into the L3.
-//
-//bear:hotpath
 func (h *Hierarchy) fillL2(now uint64, coreID int, line uint64, aux uint8) {
 	if ev, ok := h.l2[coreID].FillIfAbsent(line, false, aux); ok && ev.Valid && ev.Dirty {
 		h.absorbIntoL3(now, coreID, ev.Addr, ev.Aux)
@@ -347,8 +336,6 @@ func (h *Hierarchy) fillL2(now uint64, coreID int, line uint64, aux uint8) {
 }
 
 // absorbIntoL2 receives a dirty L1 victim.
-//
-//bear:hotpath
 func (h *Hierarchy) absorbIntoL2(coreID int, line uint64, aux uint8) {
 	ev, filled := h.l2[coreID].FillOrDirty(line, aux)
 	if filled && ev.Valid && ev.Dirty {
@@ -359,8 +346,6 @@ func (h *Hierarchy) absorbIntoL2(coreID int, line uint64, aux uint8) {
 // absorbIntoL3 receives a dirty L2 victim, preserving the presence state it
 // carried in the private levels so its eventual writeback keeps the DCP
 // guarantee.
-//
-//bear:hotpath
 func (h *Hierarchy) absorbIntoL3(now uint64, coreID int, line uint64, aux uint8) {
 	ev, filled := h.l3.FillOrDirty(line, aux)
 	if filled {

@@ -1,43 +1,32 @@
 package hier
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"bear/internal/config"
+	"bear/internal/fault"
 	"bear/internal/stats"
 	"bear/internal/trace"
 )
 
-// assertNoTxnLeak checks the transaction-pool leak invariant: once a sim's
-// event queue has drained, the shared engine must have recovered every
-// outstanding transaction (catches lost txns on bypass/squash paths).
-// Run stops at the last core's retirement with events still in flight — and
-// cores keep issuing forever to sustain load — so every core is halted first
-// and the queue then drained to empty (results were already snapshotted by
-// Run).
-func assertNoTxnLeak(t *testing.T, sim *Sim, label any) {
-	t.Helper()
-	for _, c := range sim.Cores {
-		c.Halt()
-	}
-	sim.Q.Run(func() bool { return false })
-	if n := sim.Bundle.Cache.OutstandingTxns(); n != 0 {
-		t.Errorf("%v: %d transactions leaked from the pool", label, n)
-	}
+// designs lists every L4 design the simulator builds.
+var designs = []config.Design{
+	config.NoL4, config.Alloy, config.BEAR, config.BWOpt,
+	config.LohHill, config.MostlyClean, config.InclAlloy,
+	config.TIS, config.Sector, config.Banshee, config.TicToc,
 }
 
 // TestCrossDesignInvariants runs every design over the same small workload
 // and asserts the structural relations the paper's analysis relies on.
+// Watchdog.Check adds the engine's own checks, among them the post-run
+// drain that fails on any object a freelist handed out and never got back.
 func TestCrossDesignInvariants(t *testing.T) {
 	type outcome struct {
 		run *stats.Run
 	}
 	results := map[config.Design]outcome{}
-	designs := []config.Design{
-		config.NoL4, config.Alloy, config.BEAR, config.BWOpt,
-		config.LohHill, config.MostlyClean, config.InclAlloy,
-		config.TIS, config.Sector, config.Banshee, config.TicToc,
-	}
 	for _, d := range designs {
 		cfg := config.Default(512).WithDesign(d)
 		wl, err := trace.Rate("soplex", cfg.Core.Count, 512, 1)
@@ -48,11 +37,11 @@ func TestCrossDesignInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sim.Watchdog.Check = true
 		r, err := sim.Run()
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
-		assertNoTxnLeak(t, sim, d)
 		results[d] = outcome{run: r}
 	}
 
@@ -116,6 +105,7 @@ func TestWarmBoundaryResetsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.Watchdog.Check = true
 	r, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +118,6 @@ func TestWarmBoundaryResetsStats(t *testing.T) {
 	if sim.MarkTime == 0 {
 		t.Fatal("warm boundary never fired")
 	}
-	assertNoTxnLeak(t, sim, "warm-boundary")
 	if r.Cycles == 0 {
 		t.Fatal("no measured cycles")
 	}
@@ -142,6 +131,7 @@ func TestStoreOnlyWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.Watchdog.Check = true
 	r, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -152,5 +142,28 @@ func TestStoreOnlyWorkload(t *testing.T) {
 	if r.L4.WBHits+r.L4.WBMisses == 0 {
 		t.Fatal("no writebacks reached the L4")
 	}
-	assertNoTxnLeak(t, sim, "store-only")
+}
+
+// TestDrainCheckCatchesLeakedMiss takes one miss entry from the
+// hierarchy's freelist and never returns it: the run's -check drain must
+// fail with a hier invariant naming the leak. The other four freelists have
+// the same test in their own packages, where their export_test.go hooks
+// reach them.
+func TestDrainCheckCatchesLeakedMiss(t *testing.T) {
+	cfg := config.Default(1024).WithDesign(config.Alloy)
+	wl, err := trace.Rate("mcf", cfg.Core.Count, 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSim(cfg, wl, 1000, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Watchdog.Check = true
+	sim.Hier.getMiss(0, 0, false)
+	_, err = sim.Run()
+	var inv *fault.Invariant
+	if !errors.As(err, &inv) || inv.Component != "hier" || !strings.Contains(inv.Message, "1 miss entries leaked") {
+		t.Fatalf("Run = %v, want a hier invariant naming the leaked miss entry", err)
+	}
 }

@@ -29,15 +29,12 @@ func newMissTable() missTable {
 	}
 }
 
-//bear:hotpath
 func (t *missTable) slot(line uint64) uint64 {
 	h := line * missTableSeed
 	return (h ^ h>>32) & t.mask
 }
 
 // get returns the entry pending for line, or nil.
-//
-//bear:hotpath
 func (t *missTable) get(line uint64) *missEntry {
 	for i := t.slot(line); t.entries[i] != nil; i = (i + 1) & t.mask {
 		if t.lines[i] == line {
@@ -48,8 +45,6 @@ func (t *missTable) get(line uint64) *missEntry {
 }
 
 // put inserts line -> e. The caller guarantees line is not present.
-//
-//bear:hotpath
 func (t *missTable) put(line uint64, e *missEntry) {
 	if uint64(t.n)*2 >= uint64(len(t.entries)) {
 		t.grow()
@@ -64,8 +59,6 @@ func (t *missTable) put(line uint64, e *missEntry) {
 
 // del removes line, backward-shifting any displaced followers so lookups
 // never cross an empty slot to find their key.
-//
-//bear:hotpath
 func (t *missTable) del(line uint64) {
 	i := t.slot(line)
 	for t.entries[i] == nil || t.lines[i] != line {

@@ -55,7 +55,7 @@ type Watchdog struct {
 	// (transaction accounting, DRAM queue occupancy and scheduler-memo
 	// cross-checks, MSHR accounting), verifies every DRAM scheduling
 	// decision against the naive reference picker, and performs a post-run
-	// drain + transaction-pool leak check (the -check flag).
+	// drain + freelist leak check (the -check flag).
 	Check bool
 	// MaxQueued bounds per-memory DRAM request occupancy under Check
 	// (default 1<<16).
@@ -216,12 +216,40 @@ func (s *Sim) watchdogErr(kind fault.WatchdogKind, limit uint64) *fault.Watchdog
 	}
 }
 
+// freelist is the live count of one of the simulation's hand-rolled object
+// pools, labelled with the component that owns it.
+type freelist struct {
+	component, what string
+	live            int
+}
+
+// freelists reports every pool's live count: the objects it has handed out
+// and not yet taken back.
+func (s *Sim) freelists() []freelist {
+	b := s.Bundle
+	f := []freelist{
+		{"dramcache", b.Cache.Name() + " transactions", b.Cache.OutstandingTxns()},
+		{"dramcache", "victim forwards", b.Mem.LiveFwds()},
+		{"dram", b.MemDRAM.Name + " requests", b.MemDRAM.LiveRequests()},
+		{"hier", "miss entries", s.Hier.liveMisses},
+	}
+	if b.L4DRAM != nil {
+		f = append(f, freelist{"dram", b.L4DRAM.Name + " requests", b.L4DRAM.LiveRequests()})
+	}
+	for _, c := range s.Cores {
+		f = append(f, freelist{"cpu", fmt.Sprintf("core %d load tokens", c.ID), c.LiveTokens()})
+	}
+	return f
+}
+
 // checkInvariants runs the cheap per-epoch engine checks enabled by
-// Watchdog.Check: transaction accounting, DRAM queue occupancy, MSHR
+// Watchdog.Check: freelist accounting, DRAM queue occupancy, MSHR
 // accounting and miss-table consistency.
 func (s *Sim) checkInvariants(maxQueued int) error {
-	if n := s.Bundle.Cache.OutstandingTxns(); n < 0 {
-		return fault.Invariantf("dramcache", "%s: %d outstanding transactions (double release)", s.Bundle.Cache.Name(), n)
+	for _, f := range s.freelists() {
+		if f.live < 0 {
+			return fault.Invariantf(f.component, "%d %s outstanding (double release)", f.live, f.what)
+		}
 	}
 	if err := s.Bundle.MemDRAM.CheckInvariants(maxQueued); err != nil {
 		return err
@@ -240,9 +268,10 @@ func (s *Sim) checkInvariants(maxQueued int) error {
 }
 
 // drainAndCheck halts every core, drains the event queue (bounded by
-// DrainEvents) and verifies that quiescence really is quiescent: no leaked
-// transactions in the pool and no requests still queued in any DRAM channel.
-// Only called under Watchdog.Check, after results have been snapshotted.
+// DrainEvents) and verifies that quiescence really is quiescent: every
+// freelist has taken back all it handed out and no request is still queued
+// in any DRAM channel. Only called under Watchdog.Check, after results have
+// been snapshotted.
 func (s *Sim) drainAndCheck(wd Watchdog) error {
 	for _, c := range s.Cores {
 		c.Halt()
@@ -254,8 +283,10 @@ func (s *Sim) drainAndCheck(wd Watchdog) error {
 			return s.watchdogErr(fault.WatchdogDrain, wd.DrainEvents)
 		}
 	}
-	if n := s.Bundle.Cache.OutstandingTxns(); n != 0 {
-		return fault.Invariantf("dramcache", "%s: %d transactions leaked from the pool after drain", s.Bundle.Cache.Name(), n)
+	for _, f := range s.freelists() {
+		if f.live != 0 {
+			return fault.Invariantf(f.component, "%d %s leaked from the pool after drain", f.live, f.what)
+		}
 	}
 	if p := s.Bundle.MemDRAM.Pending(); p != 0 {
 		return fault.Invariantf("dram", "%s: %d requests still queued after drain", s.Bundle.MemDRAM.Name, p)

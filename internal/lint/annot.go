@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strconv"
 	"strings"
 )
@@ -22,11 +23,43 @@ type clockSpec struct {
 	results map[int]bool
 }
 
-// annotErr is a malformed annotation, reported under the rule it belongs to.
+// fnSummary is one declared function's annotations, keyed by FullName so
+// the timeflow rule can resolve a callee's clock parameters across package
+// boundaries.
+type fnSummary struct {
+	pkg       *Package
+	decl      *ast.FuncDecl
+	clock     *clockSpec // //bear:clock — trusted/checked clock params
+	annotErrs []annotErr
+}
+
+// summarize parses the annotations of every declared function.
+func (p *Program) summarize() map[string]*fnSummary {
+	sums := map[string]*fnSummary{}
+	for _, pkg := range p.Pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				s := &fnSummary{pkg: pkg, decl: fd}
+				parseAnnotations(fd, s)
+				sums[obj.FullName()] = s
+			}
+		}
+	}
+	return sums
+}
+
+// annotErr is a malformed annotation, reported under the timeflow rule.
 type annotErr struct {
-	pos  token.Pos
-	rule string
-	msg  string
+	pos token.Pos
+	msg string
 }
 
 // parseAnnotations extracts the semantic annotations from a function's doc
@@ -58,7 +91,7 @@ func parseClock(text string, pos token.Pos, s *fnSummary) *clockSpec {
 		case strings.HasPrefix(f, "result="):
 			n, err := strconv.Atoi(f[len("result="):])
 			if err != nil || n < 0 {
-				s.annotErrs = append(s.annotErrs, annotErr{pos, RuleTimeflow,
+				s.annotErrs = append(s.annotErrs, annotErr{pos,
 					"malformed //bear:clock: bad result index " + strconv.Quote(f)})
 				return nil
 			}
@@ -68,7 +101,7 @@ func parseClock(text string, pos token.Pos, s *fnSummary) *clockSpec {
 		}
 	}
 	if len(spec.params) == 0 && len(spec.results) == 0 {
-		s.annotErrs = append(s.annotErrs, annotErr{pos, RuleTimeflow,
+		s.annotErrs = append(s.annotErrs, annotErr{pos,
 			"malformed //bear:clock: name at least one parameter or result"})
 		return nil
 	}

@@ -5,10 +5,10 @@ import (
 	"go/types"
 )
 
-// An intraprocedural control-flow graph over the syntax tree, shared by the
-// path-sensitive rule families (pool, timeflow). Each basic block
-// carries the AST nodes that execute in it, in order; clients interpret the
-// nodes with their own transfer functions (see dataflow.go).
+// An intraprocedural control-flow graph over the syntax tree, built for
+// the path-sensitive timeflow rule. Each basic block carries the AST nodes
+// that execute in it, in order; clients interpret the nodes with their own
+// transfer functions (see dataflow.go).
 //
 // Node conventions, chosen so one builder serves every client:
 //
@@ -18,25 +18,13 @@ import (
 //     expression appear as bare ast.Expr nodes at their evaluation point;
 //   - a *ast.RangeStmt reappears at the head of its body block so clients
 //     can model the per-iteration key/value binding;
-//   - return statements appear as nodes (so returned expressions flow) and
-//     additionally terminate their block with exitReturn;
-//   - panic(...) expression statements terminate their block with
-//     exitPanic. Crash paths are silent for every current client: a leak on
-//     a path that ends the process is not a bug the rules exist to catch;
+//   - return statements and panic(...) expression statements appear as
+//     nodes and terminate their block: it has no successors;
 //   - branch statements (break/continue/goto/fallthrough) contribute edges
 //     only.
 //
 // Edges out of a condition carry (cond, taken) so dataflow clients can
 // refine state on branch direction (the timeflow rule's `x > now` guards).
-
-type exitKind int
-
-const (
-	exitNone   exitKind = iota // has successors
-	exitReturn                 // explicit return
-	exitFall                   // fell off the end of the function
-	exitPanic                  // panic(...): silent for all clients
-)
 
 type edge struct {
 	to    *block
@@ -48,12 +36,9 @@ type block struct {
 	index int
 	nodes []ast.Node
 	succs []edge
-	kind  exitKind
-	ret   *ast.ReturnStmt // set for exitReturn
 }
 
 type cfg struct {
-	fn     *ast.FuncDecl
 	entry  *block
 	blocks []*block
 }
@@ -103,14 +88,11 @@ type loopCtx struct {
 }
 
 func buildCFG(fd *ast.FuncDecl, info *types.Info) *cfg {
-	c := &cfg{fn: fd}
+	c := &cfg{}
 	b := &cfgBuilder{c: c, info: info, labels: map[string]*block{}}
 	c.entry = b.newBlock()
 	b.cur = c.entry
 	b.stmts(fd.Body.List)
-	if b.cur != nil {
-		b.cur.kind = exitFall
-	}
 	return c
 }
 
@@ -276,16 +258,11 @@ func (b *cfgBuilder) stmt(stmt ast.Stmt, label string) {
 	case *ast.BranchStmt:
 		b.branchStmt(s)
 	case *ast.ReturnStmt:
-		blk := b.use()
-		blk.nodes = append(blk.nodes, s)
-		blk.kind = exitReturn
-		blk.ret = s
+		b.emit(s)
 		b.cur = nil
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && builtinName(b.info, call) == "panic" {
-			blk := b.use()
-			blk.nodes = append(blk.nodes, s)
-			blk.kind = exitPanic
+			b.emit(s)
 			b.cur = nil
 			return
 		}

@@ -72,17 +72,9 @@ func solve[S any](c *cfg, fc flowClient[S]) map[int]S {
 	return in
 }
 
-// exitState is one terminating block's final state, produced by replay.
-type exitState[S any] struct {
-	b *block
-	s S
-}
-
 // replay re-runs the converged states through every reachable block in
-// deterministic order with reporting enabled, and returns the final state
-// of each return/fall-off exit (panic exits are silent by convention).
-func replay[S any](c *cfg, fc flowClient[S], in map[int]S) []exitState[S] {
-	var exits []exitState[S]
+// deterministic order with reporting enabled.
+func replay[S any](c *cfg, fc flowClient[S], in map[int]S) {
 	for _, b := range c.reachable() {
 		s, ok := in[b.index]
 		if !ok {
@@ -92,9 +84,5 @@ func replay[S any](c *cfg, fc flowClient[S], in map[int]S) []exitState[S] {
 		for _, n := range b.nodes {
 			fc.transfer(s, n, true)
 		}
-		if b.kind == exitReturn || b.kind == exitFall {
-			exits = append(exits, exitState[S]{b: b, s: s})
-		}
 	}
-	return exits
 }

@@ -6,16 +6,6 @@
 //     ambient randomness or the environment, must not iterate maps into
 //     order-sensitive sinks, and must not spawn goroutines outside the
 //     sanctioned concurrency layer (internal/exp).
-//   - hot-path alloc-freedom: functions annotated //bear:hotpath must not
-//     contain allocating constructs (capturing closures, fmt/errors
-//     formatting, map literals, appends to function-local slices) and must
-//     not call project functions that transitively do.
-//   - pool discipline: objects obtained from sync.Pool.Get or from a
-//     //bear:acquire freelist getter must be released or handed off on
-//     every return path.
-//   - engine contracts: experiment registrations use unique string-literal
-//     ids, and Controller compositions that set a tag store also set a
-//     Layout.
 //   - typed invariants: engine packages must not panic with bare strings;
 //     they raise typed errors (fault.Invariantf) that the fault-isolation
 //     recover in internal/exp can classify.
@@ -24,9 +14,14 @@
 //   - stats census: every field of the stats structs is both written by a
 //     simulation path and consumed by an experiment or report.
 //
-// The path-sensitive rules (pool, timeflow) run on a shared
-// intraprocedural CFG (cfg.go) and branch-merging worklist solver
-// (dataflow.go).
+// The one path-sensitive rule, timeflow, runs on an intraprocedural CFG
+// (cfg.go) and branch-merging worklist solver (dataflow.go).
+//
+// Properties a running simulation can check on itself are checked there
+// instead: freelist leaks by live counts at the -check drain (hier.Sim),
+// steady-state allocation by TestSteadyStateAllocs, duplicate experiment
+// ids by the registry's init-time panic, and a missing Layout by the
+// dramcache controller constructor's required argument.
 //
 // The analyzer is built on the standard library only (go/parser, go/ast,
 // go/types with go/importer's source mode); see cmd/simlint for the CLI and
@@ -52,10 +47,6 @@ const (
 	RuleDeterminism = "determinism" // wall clock, ambient randomness, environment
 	RuleMapRange    = "maprange"    // map iteration into an order-sensitive sink
 	RuleGoroutine   = "goroutine"   // go statement outside the sanctioned layer
-	RuleHotPath     = "hotpath"     // allocation in a //bear:hotpath function
-	RulePool        = "pool"        // pooled object dropped on a return path
-	RuleDupID       = "dupid"       // duplicate or non-literal experiment id
-	RuleLayout      = "layout"      // Controller composition without a Layout
 	RuleInvariant   = "invariant"   // bare string panic in an engine package
 	RuleTimeflow    = "timeflow"    // event scheduled at a time not provably >= now
 	RuleStats       = "stats"       // stats field never written or never consumed
@@ -295,18 +286,15 @@ func (p *Program) Run(cfg Config) []Diagnostic {
 	}
 	for _, pkg := range p.Pkgs {
 		p.checkDeterminism(pkg, cfg, report)
-		p.checkContracts(pkg, report)
-		p.checkPools(pkg, sums, report)
 		p.checkInvariantPanics(pkg, cfg, report)
 		if cfg.timeflow(pkg.Path) {
 			p.checkTimeflow(pkg, sums, clockFields, report)
 		}
 	}
-	p.checkHotPaths(sums, report)
 	p.checkStatsFields(cfg, report)
 	for _, s := range sums {
 		for _, e := range s.annotErrs {
-			report(s.pkg, e.rule, e.pos, "%s", e.msg)
+			report(s.pkg, RuleTimeflow, e.pos, "%s", e.msg)
 		}
 	}
 

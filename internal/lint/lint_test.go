@@ -115,9 +115,9 @@ func collectWants(t *testing.T, dirs []string) []*expectation {
 	return wants
 }
 
-// TestNolintUnknownRuleStillSuppressesOnlyNamed pins the suppression
-// granularity: a nolint naming one rule must not swallow another family's
-// diagnostic on the same line. (The fixtures cover the positive direction.)
+// TestSuppressionIsRuleScoped pins the suppression granularity: a nolint
+// naming one rule must not swallow another family's diagnostic on the same
+// line. (The fixtures cover the positive direction.)
 func TestSuppressionIsRuleScoped(t *testing.T) {
 	pkg := &Package{nolint: collectT{
 		"f.go": {10: {"maprange": true}},
@@ -126,8 +126,8 @@ func TestSuppressionIsRuleScoped(t *testing.T) {
 	if !pkg.suppressed(pos, "maprange") {
 		t.Error("maprange should be suppressed on f.go:10")
 	}
-	if pkg.suppressed(pos, "hotpath") {
-		t.Error("hotpath must not be suppressed by a maprange nolint")
+	if pkg.suppressed(pos, RuleTimeflow) {
+		t.Error("timeflow must not be suppressed by a maprange nolint")
 	}
 	if pkg.suppressed(token.Position{Filename: "f.go", Line: 11}, "maprange") {
 		t.Error("line 11 has no suppression entry of its own in this fixture")

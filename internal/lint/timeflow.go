@@ -464,3 +464,17 @@ func (p *Program) summaryFor(pkg *Package, fd *ast.FuncDecl, sums map[string]*fn
 	}
 	return sums[obj.FullName()]
 }
+
+// displayName renders fn as Type.Method or Func for diagnostics.
+func displayName(fn *types.Func) string {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			return named.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return fn.Name()
+}

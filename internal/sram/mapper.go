@@ -43,8 +43,6 @@ func NewMapper(blockLines uint64) Mapper {
 func (m Mapper) BlockLines() uint64 { return m.lines }
 
 // Block returns the block address line belongs to.
-//
-//bear:hotpath
 func (m Mapper) Block(line uint64) uint64 {
 	if m.pow2 {
 		return line >> m.shift
@@ -53,8 +51,6 @@ func (m Mapper) Block(line uint64) uint64 {
 }
 
 // Sub returns line's sub-block index within its block, in [0, BlockLines).
-//
-//bear:hotpath
 func (m Mapper) Sub(line uint64) uint64 {
 	if m.pow2 {
 		return line & m.mask
@@ -63,8 +59,6 @@ func (m Mapper) Sub(line uint64) uint64 {
 }
 
 // Split returns both coordinates in one call.
-//
-//bear:hotpath
 func (m Mapper) Split(line uint64) (block, sub uint64) {
 	if m.pow2 {
 		return line >> m.shift, line & m.mask
@@ -74,8 +68,6 @@ func (m Mapper) Split(line uint64) (block, sub uint64) {
 
 // Line reconstructs the line address of sub-block sub within block — the
 // inverse of Split.
-//
-//bear:hotpath
 func (m Mapper) Line(block, sub uint64) uint64 {
 	if m.pow2 {
 		return block<<m.shift | sub

@@ -112,8 +112,6 @@ func (c *Cache) Ways() int { return c.ways }
 // SetIndex returns the set an address maps to. Power-of-two set counts (the
 // overwhelmingly common geometry) index with a mask instead of a 64-bit
 // modulo — base sits inside every set sweep.
-//
-//bear:hotpath
 func (c *Cache) SetIndex(addr uint64) uint64 {
 	if c.pow2 {
 		return addr & c.setMask
@@ -128,8 +126,6 @@ func (c *Cache) base(addr uint64) uint64 { return c.SetIndex(addr) * uint64(c.wa
 // word, and find is small enough to inline into every access path. find
 // does not train the hint itself (the store would burst the inlining
 // budget); hit paths that learned a new location store it back.
-//
-//bear:hotpath
 func (c *Cache) find(addr uint64) (uint64, bool) {
 	if h := uint64(c.hint[addr&c.hintMask]); c.tags[h] == addr {
 		return h, true
@@ -197,8 +193,6 @@ func (c *Cache) rescale() {
 // line's metadata and whether it was present. A hit still retrains the way
 // hint — the hint is not replacement state, and probe-only flows (tag-store
 // presence checks) are exactly where a trained hint pays for itself.
-//
-//bear:hotpath
 func (c *Cache) Lookup(addr uint64) (Line, bool) {
 	if i, ok := c.find(addr); ok {
 		c.hint[addr&c.hintMask] = uint32(i)
@@ -209,8 +203,6 @@ func (c *Cache) Lookup(addr uint64) (Line, bool) {
 
 // Access performs a demand access: on hit it refreshes LRU state, marks the
 // line dirty if write is set, and returns true.
-//
-//bear:hotpath
 func (c *Cache) Access(addr uint64, write bool) bool {
 	i, ok := c.find(addr)
 	if !ok {
@@ -226,8 +218,6 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 
 // AccessAux is Access plus the line's aux byte: one set sweep where the
 // hierarchy would otherwise pay a Lookup scan followed by an Access scan.
-//
-//bear:hotpath
 func (c *Cache) AccessAux(addr uint64, write bool) (uint8, bool) {
 	i, ok := c.find(addr)
 	if !ok {
@@ -244,8 +234,6 @@ func (c *Cache) AccessAux(addr uint64, write bool) (uint8, bool) {
 // FillLRU installs addr like Fill but places it at the LRU position, so it
 // is the set's next victim unless promoted by a hit (bimodal/LIP insertion
 // policies).
-//
-//bear:hotpath
 func (c *Cache) FillLRU(addr uint64, dirty bool, aux uint8) Eviction {
 	ev := c.Fill(addr, dirty, aux)
 	base := c.base(addr)
@@ -292,8 +280,6 @@ func (c *Cache) FillLRU(addr uint64, dirty bool, aux uint8) Eviction {
 
 // Fill installs addr (which must not already be present), returning the
 // eviction it displaced. The filled line is made MRU.
-//
-//bear:hotpath
 func (c *Cache) Fill(addr uint64, dirty bool, aux uint8) Eviction {
 	if addr == tagInvalid {
 		panic(fault.Invariantf("sram", "fill of the sentinel line address"))
@@ -327,8 +313,6 @@ func (c *Cache) Fill(addr uint64, dirty bool, aux uint8) Eviction {
 // scan. Present lines are left untouched (no LRU update); the bool reports
 // whether a fill happened. The victim choice is identical to Fill's: the
 // first invalid way, else the minimum stamp in way order.
-//
-//bear:hotpath
 func (c *Cache) FillIfAbsent(addr uint64, dirty bool, aux uint8) (Eviction, bool) {
 	if addr == tagInvalid {
 		panic(fault.Invariantf("sram", "fill of the sentinel line address"))
@@ -365,8 +349,6 @@ func (c *Cache) FillIfAbsent(addr uint64, dirty bool, aux uint8) (Eviction, bool
 // it is marked dirty (replacement state untouched, matching SetDirty);
 // otherwise it is installed dirty. One sweep where callers would pay
 // SetDirty followed by Fill.
-//
-//bear:hotpath
 func (c *Cache) FillOrDirty(addr uint64, aux uint8) (Eviction, bool) {
 	if addr == tagInvalid {
 		panic(fault.Invariantf("sram", "fill of the sentinel line address"))
@@ -436,8 +418,6 @@ func (c *Cache) Invalidate(addr uint64) (Line, bool) {
 }
 
 // SetAux stores aux metadata on addr's line if present.
-//
-//bear:hotpath
 func (c *Cache) SetAux(addr uint64, aux uint8) bool {
 	i, ok := c.find(addr)
 	if !ok {
@@ -448,8 +428,6 @@ func (c *Cache) SetAux(addr uint64, aux uint8) bool {
 }
 
 // SetDirty marks addr's line dirty if present.
-//
-//bear:hotpath
 func (c *Cache) SetDirty(addr uint64) bool {
 	i, ok := c.find(addr)
 	if !ok {
@@ -462,8 +440,6 @@ func (c *Cache) SetDirty(addr uint64) bool {
 
 // WayOf returns the way within its set where addr resides, used by
 // tags-in-SRAM designs to locate the corresponding data-store frame.
-//
-//bear:hotpath
 func (c *Cache) WayOf(addr uint64) (int, bool) {
 	i, ok := c.find(addr)
 	if !ok {
@@ -473,8 +449,6 @@ func (c *Cache) WayOf(addr uint64) (int, bool) {
 }
 
 // VictimWay returns the way the next fill into addr's set would use.
-//
-//bear:hotpath
 func (c *Cache) VictimWay(addr uint64) int {
 	base := c.base(addr)
 	victim := 0

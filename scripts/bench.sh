@@ -8,8 +8,8 @@
 # TicToc; see simbench_test.go):
 #   - "benchmarks": ns/instr and allocs/instr of the steady-state hot path
 #     (BenchmarkSim*), and the simulator's exact work over it: the DRAM
-#     scheduler's picks per request and candidates priced per pick, and
-#     events executed per instruction;
+#     scheduler's picks per request and candidates priced per pick, events
+#     executed per instruction and DRAM requests per instruction;
 #   - "setup": ms/op and MB/op of one paper-scale (1 GB L4) hier.NewSim, the
 #     tag arrays plus the functional prewarm (BenchmarkNewSimPaper).
 #
@@ -108,6 +108,7 @@ function keepmin(arr, key, v) {
 		if (unit == "picks/req" && who == "change") pk[name] = v
 		if (unit == "priced/pick" && who == "change") pr[name] = v
 		if (unit == "events/instr" && who == "change") ev[name] = v
+		if (unit == "req/instr" && who == "change") rq[name] = v
 		if (unit == "ns/op" && setup) { t[who, name, pair] = v / 1e6; if (who == "change") keepmin(ms, name, v / 1e6) }
 		if (unit == "B/op" && setup && who == "change") keepmin(mb, name, v / 1e6)
 	}
@@ -118,8 +119,8 @@ END {
 	if (baserev != "") printf "  \"base\": \"%s\",\n", baserev
 	printf "  \"benchmarks\": [\n"
 	for (i = 1; i <= nbench; i++)
-		printf "    {\"name\": \"%s\", \"ns_per_instr\": %s, \"allocs_per_instr\": %s, \"picks_per_req\": %s, \"priced_per_pick\": %s, \"events_per_instr\": %s}%s\n", \
-			bnames[i], ns[bnames[i]], al[bnames[i]], pk[bnames[i]], pr[bnames[i]], ev[bnames[i]], (i < nbench ? "," : "")
+		printf "    {\"name\": \"%s\", \"ns_per_instr\": %s, \"allocs_per_instr\": %s, \"picks_per_req\": %s, \"priced_per_pick\": %s, \"events_per_instr\": %s, \"dram_req_per_instr\": %s}%s\n", \
+			bnames[i], ns[bnames[i]], al[bnames[i]], pk[bnames[i]], pr[bnames[i]], ev[bnames[i]], rq[bnames[i]], (i < nbench ? "," : "")
 	printf "  ],\n  \"setup\": [\n"
 	for (i = 1; i <= nsetup; i++)
 		printf "    {\"name\": \"%s\", \"ms_per_op\": %.1f, \"mb_per_op\": %.1f}%s\n", \

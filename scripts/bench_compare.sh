@@ -2,7 +2,7 @@
 # bench_compare.sh — diff the two newest BENCH_<n>.json snapshots at the
 # repository root, printing per-benchmark ns/instr and allocs/instr deltas,
 # the per-benchmark work counters (picks_per_req, priced_per_pick,
-# events_per_instr) of both snapshots, and per-design paper-scale set-up
+# events_per_instr, dram_req_per_instr) of both snapshots, and per-design paper-scale set-up
 # (ms/op, MB/op) deltas. Positive percentages are regressions (the newer
 # snapshot is slower). It exits non-zero on a ns/instr regression above 5%,
 # or when any design's set-up MB/op rises by more than 1%: the set-up
@@ -55,7 +55,7 @@ echo "comparing $old -> $new"
 # The snapshots are one-benchmark-per-line JSON written by bench.sh, so a
 # line-oriented parse is reliable without a JSON tool in the image.
 # Each line becomes "<kind> <name> <value>...": kind "sim" for the
-# ns/instr rows, with ns/instr, allocs/instr and the three work counters,
+# ns/instr rows, with ns/instr, allocs/instr and the four work counters,
 # and "setup" for the NewSimPaper rows, with ms/op and MB/op. A field the
 # row lacks reads n/a. Snapshots before BENCH_7 have no setup rows.
 parse() {
@@ -68,7 +68,8 @@ parse() {
 	}
 	/"ns_per_instr": *[0-9]/ {
 		print "sim", field("name"), field("ns_per_instr"), field("allocs_per_instr"),
-			field("picks_per_req"), field("priced_per_pick"), field("events_per_instr")
+			field("picks_per_req"), field("priced_per_pick"), field("events_per_instr"),
+			field("dram_req_per_instr")
 	}
 	/"ms_per_op": *[0-9]/ { print "setup", field("name"), field("ms_per_op"), field("mb_per_op") }' "$1"
 }
@@ -78,7 +79,7 @@ trap 'rm -rf "$tmp"' EXIT
 parse "$old" >"$tmp/old"
 parse "$new" >"$tmp/new"
 
-awk 'BEGIN { unit[5] = "picks/req"; unit[6] = "priced/pick"; unit[7] = "events/instr" }
+awk 'BEGIN { unit[5] = "picks/req"; unit[6] = "priced/pick"; unit[7] = "events/instr"; unit[8] = "req/instr" }
 NR == FNR { for (i = 3; i <= NF; i++) old[$1, $2, i] = $i; seen[$1, $2] = 1; next }
 {
 	if (!(($1, $2) in seen)) { printf "%-24s only in newer snapshot\n", $2; next }
@@ -88,7 +89,7 @@ NR == FNR { for (i = 3; i <= NF; i++) old[$1, $2, i] = $i; seen[$1, $2] = 1; nex
 		printf "%-24s ns/instr %8.1f -> %8.1f  (%+6.1f%%)   allocs/instr %.2e -> %.2e\n", $2, a, $3, d, b, $4
 		if (d > 5) bad = 1
 		line = ""; differ = ""
-		for (i = 5; i <= 7; i++) {
+		for (i = 5; i <= 8; i++) {
 			o = old[$1, $2, i]
 			line = line sprintf("%s%s %s -> %s", (i > 5 ? "   " : ""), unit[i], o, $i)
 			if (o != "n/a" && $i != "n/a" && o + 0 != $i + 0) differ = differ " " unit[i]

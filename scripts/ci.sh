@@ -19,10 +19,10 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
-# simlint enforces the simulator's own invariants (determinism, hot-path
-# alloc-freedom, pool discipline, engine contracts, event-time
-# monotonicity, stats census) before the expensive race gate
-# runs; see ARCHITECTURE.md "Enforced invariants". -cache keys the run on a
+# simlint enforces the simulator's own invariants (determinism, map-order
+# folds, stray goroutines, typed invariant panics, event-time monotonicity,
+# stats census) before the expensive race gate runs; see ARCHITECTURE.md
+# "Enforced invariants". -cache keys the run on a
 # hash of every non-test .go file, so an unchanged tree replays instantly.
 go run ./cmd/simlint -cache ./...
 # The analyzer is held to its own determinism standard: lint the lint
@@ -40,6 +40,11 @@ go build ./...
 # -shuffle=on randomises test order within each package, flushing out
 # tests that silently depend on a predecessor's side effects.
 go test -race -shuffle=on ./...
+# TestSteadyStateAllocs skips under -race, which slows it about tenfold, so
+# the gate above never runs it: run it here without the race detector. It
+# bounds every design's steady-state allocations per instruction, the check
+# that keeps per-access allocations off the hot path.
+go test -run '^TestSteadyStateAllocs$' ./internal/hier
 
 # bench-smoke: compile and run every benchmark exactly once. This keeps the
 # perf harness (simbench_test.go and friends) from bit-rotting without
