@@ -65,48 +65,88 @@ type tadTags struct {
 
 	// slots packs one width-bit little-endian slot per set, set's at bit
 	// offset set*width, plus 8 bytes of tail padding so every slot can be
-	// read with one 8-byte load. A slot holds (tag+1) | dirty for a resident
-	// line, where the tag is line / sets (the set implies the remainder),
-	// and zero for an empty set. The width is the least that holds the
-	// widest tag+1 installed so far below the dirty bit, the slot's top bit,
-	// rounded up to 64 past maxSlotBits; fit widens it. A new store is width
-	// 0 over the bare 8-byte pad, so every set reads as empty.
+	// read with one 8-byte load. A slot holds code | dirty for a resident
+	// line, where tags[code] is the line's tag, line / sets (the set implies
+	// the remainder), and zero for an empty set. The dirty bit is the slot's
+	// top bit, so 2^(width-1) - 1 codes fit below it; widen makes room when
+	// they run out. A new store is width 0 over the bare 8-byte pad, so
+	// every set reads as empty.
 	slots []byte
 	width uint64
 	dirty uint64 // the slot's top bit; 0 at width 0
 
+	// tags is the dictionary of installed tags, indexed by code. tags[0] is
+	// ^0, which no tag equals (a line is below 2^58), so an empty set misses
+	// with the same one compare as any other. codes maps each tag in tags
+	// back to its code; only installs consult it.
+	tags  []uint64
+	codes map[uint64]uint64
+
 	inclusive bool
 }
 
-// maxSlotBits is the widest slot that, at any bit shift within its first
-// byte, still fits inside the 8-byte word loaded at that byte. Wider slots
-// take a full 64 bits, which keeps every slot byte-aligned.
-const maxSlotBits = 57
-
-// fit widens the slots, if need be, so that v fits below the dirty bit.
-func (t *tadTags) fit(v uint64) {
-	if v >= t.dirty {
-		t.widen(v)
+// code returns q's code, giving q the next one if it has none. When every
+// code below the dirty bit is taken, widen first makes room, which replaces
+// the slab: callers read t.slots and t.width only after code returns.
+func (t *tadTags) code(q uint64) uint64 {
+	if c, ok := t.codes[q]; ok {
+		return c
 	}
+	if uint64(len(t.tags)) >= t.dirty {
+		t.widen(1)
+	}
+	c := uint64(len(t.tags))
+	t.tags = append(t.tags, q)
+	t.codes[q] = c
+	return c
 }
 
-// widen moves the slots to the least width that holds v below the dirty
-// bit. It re-encodes every resident slot into a new slab, moving its dirty
-// bit to the new top bit, and drops the old slab.
-func (t *tadTags) widen(v uint64) {
-	width := uint64(bits.Len64(v)) + 1
-	if width > maxSlotBits {
-		width = 64
+// widen makes room for extra new codes. It drops the codes no slot holds,
+// renumbers the rest in their old order, and grows the width one bit at a
+// time while the live codes fill at least half the 2^(width-1) - 1 codes
+// below the dirty bit, or the extra codes would not fit beside them. Then
+// it re-encodes every resident slot into a new slab, moving its dirty bit
+// to the new top bit, and drops the old slab.
+//
+// So about half the codes are free after each call, and a stream of new
+// tags pays one pass over the sets per that many tags. For one new code
+// the space grows only while it holds at most 2 x the live tags, and a
+// store holds at most sets live tags, so installs keep the space within
+// 4 x sets and the width within bits.Len64(4*sets) bits: below 57 for any
+// slab that fits in memory.
+func (t *tadTags) widen(extra uint64) {
+	renum := make([]uint64, len(t.tags)) // old code -> new code; 0 for a dead one
+	if t.width > 0 {                     // at width 0 every set is empty
+		for set := range t.sets.n {
+			renum[t.slot(set)&^t.dirty] = 1
+		}
+	}
+	live := uint64(0)
+	for c := 1; c < len(t.tags); c++ {
+		q := t.tags[c]
+		if renum[c] == 0 {
+			delete(t.codes, q)
+			continue
+		}
+		live++
+		renum[c], t.tags[live], t.codes[q] = live, q, live
+	}
+	t.tags = t.tags[:live+1]
+
+	width := max(t.width, 1)
+	for space := uint64(1) << (width - 1); 2*live >= space || live+extra >= space; space <<= 1 {
+		width++
 	}
 	slots := make([]byte, (t.sets.n*width+7)/8+8)
 	dirty := uint64(1) << (width - 1)
-	if t.width > 0 { // at width 0 there is nothing to re-encode
+	if t.width > 0 {
 		for set := range t.sets.n {
 			if w := t.slot(set); w != 0 {
+				v := renum[w&^t.dirty]
 				if w&t.dirty != 0 {
-					w = w&^t.dirty | dirty
+					v |= dirty
 				}
-				putSlot(slots, width, set, w)
+				putSlot(slots, width, set, v)
 			}
 		}
 	}
@@ -114,7 +154,9 @@ func (t *tadTags) widen(v uint64) {
 }
 
 // slot reads set's slot: one unaligned 8-byte load at the slot's first
-// byte, shifted down to the slot's first bit and masked to its width.
+// byte, shifted down to the slot's first bit and masked to its width. A
+// slot of up to 57 bits ends inside that word at any shift, and no store
+// whose slab fits in memory needs more (see widen).
 func (t *tadTags) slot(set uint64) uint64 {
 	off := set * t.width
 	return binary.LittleEndian.Uint64(t.slots[off>>3:]) >> (off & 7) & (t.dirty<<1 - 1)
@@ -129,7 +171,7 @@ func putSlot(slots []byte, width, set, v uint64) {
 	off := set * width
 	b := slots[off>>3:]
 	sh := off & 7
-	mask := (uint64(1)<<width - 1) << sh // all ones at width 64, where sh is 0
+	mask := (uint64(1)<<width - 1) << sh
 	binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)&^mask|v<<sh)
 }
 
@@ -141,7 +183,7 @@ func (t *tadTags) line(set uint64) (line uint64, valid, dirty bool) {
 	if w == 0 {
 		return 0, false, false
 	}
-	return (w&^t.dirty-1)*t.sets.n + set, true, w&t.dirty != 0
+	return t.tags[w&^t.dirty]*t.sets.n + set, true, w&t.dirty != 0
 }
 
 // setIndex computes line / sets and line % sets without a divide: with
@@ -187,7 +229,7 @@ func (t *tadTags) locate(set uint64) (Location, int) {
 func (t *tadTags) Lookup(_ uint64, line uint64) Probe {
 	q, set := t.sets.split(line)
 	loc, _ := t.locate(set)
-	return Probe{Hit: t.slot(set)&^t.dirty == q+1, Loc: loc, Set: set, Block: line}
+	return Probe{Hit: t.tags[t.slot(set)&^t.dirty] == q, Loc: loc, Set: set, Block: line}
 }
 
 // Touch implements TagStore (direct-mapped: no replacement state).
@@ -209,8 +251,8 @@ func (t *tadTags) Fill(_ uint64, line, _ uint64, _ bool) FillResult {
 			h(fr.VictimLine)
 		}
 	}
-	t.fit(q + 1)
-	putSlot(t.slots, t.width, set, q+1)
+	c := t.code(q)
+	putSlot(t.slots, t.width, set, c)
 	return fr
 }
 
@@ -234,27 +276,23 @@ func (t *tadTags) WritebackFill(_ uint64, line uint64) FillResult {
 			h(fr.VictimLine)
 		}
 	}
-	t.fit(q + 1)
-	putSlot(t.slots, t.width, set, (q+1)|t.dirty)
+	c := t.code(q)
+	putSlot(t.slots, t.width, set, c|t.dirty)
 	return fr
 }
 
 // Contains implements TagStore.
 func (t *tadTags) Contains(line uint64) bool {
 	q, set := t.sets.split(line)
-	return t.slot(set)&^t.dirty == q+1
+	return t.tags[t.slot(set)&^t.dirty] == q
 }
 
 // Install implements TagStore.
 func (t *tadTags) Install(lines ...uint64) {
-	slots, width, dirty, sets := t.slots, t.width, t.dirty, t.sets
 	for _, line := range lines {
-		q, set := sets.split(line)
-		if q+1 >= dirty {
-			t.fit(q + 1)
-			slots, width, dirty = t.slots, t.width, t.dirty
-		}
-		putSlot(slots, width, set, q+1)
+		q, set := t.sets.split(line)
+		c := t.code(q)
+		putSlot(t.slots, t.width, set, c)
 	}
 }
 
@@ -431,6 +469,8 @@ func NewAlloy(name string, sets uint64, l4 *dram.Memory, mem *MainMemory, hooks 
 		channels:   uint64(cfg.Channels),
 		banks:      uint64(cfg.Banks),
 		slots:      make([]byte, 8),
+		tags:       []uint64{^uint64(0)},
+		codes:      make(map[uint64]uint64),
 		inclusive:  opts.Inclusive,
 	}
 	c.tags = t

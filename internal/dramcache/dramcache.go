@@ -62,15 +62,17 @@ type Cache interface {
 	// of Prewarm: tests install warm sets through it one position at a
 	// time as Prewarm's reference. Sims without an L4 never call it.
 	Install(lines ...uint64)
-	// Prewarm functionally installs each core's warm runs, cores[i] being
-	// core i's, before timing begins: the SimPoint functional-warming
-	// step of the paper's methodology. The result is exactly that of
-	// Install fed every core's first warm line in core order, then every
-	// core's second, and so on, so conflict evictions in the
-	// direct-mapped designs are shared fairly, as in steady state. The
-	// Alloy family writes each run as slot-range fills and never sees a
-	// line on its own; the other designs take the lines in batches.
-	Prewarm(cores [][]trace.Run)
+	// Prewarm functionally installs the first limit lines of each core's
+	// runs, cores[i] being core i's footprint in warm-priority order,
+	// before timing begins: the SimPoint functional-warming step of the
+	// paper's methodology. The result is exactly that of Install fed
+	// every core's first warm line in core order, then every core's
+	// second, and so on, so conflict evictions in the direct-mapped
+	// designs are shared fairly, as in steady state. The Alloy family
+	// writes each run as slot-range fills and never sees a line on its
+	// own, and first gives every tag of the whole footprint a slot code;
+	// the other designs take the warm lines in batches.
+	Prewarm(cores [][]trace.Run, limit uint64)
 	Stats() *stats.L4
 	// OutstandingTxns reports in-flight transactions; it must return zero
 	// once the event queue has drained (the pool-leak invariant).

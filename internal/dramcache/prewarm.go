@@ -12,21 +12,73 @@ import (
 // direct-mapped TAD store writes whole run pieces at once, and every other
 // store, whose replacement state depends on the install order, takes the
 // lines one position at a time.
-func (c *Controller) Prewarm(cores [][]trace.Run) {
+func (c *Controller) Prewarm(cores [][]trace.Run, limit uint64) {
 	switch t := c.tags.(type) {
 	case nil:
 		// No L4: there is no cache to warm.
 	case *tadTags:
-		t.prewarm(cores)
+		t.prewarm(cores, limit)
 	default:
-		installInterleaved(t, cores)
+		installInterleaved(t, warmPrefix(cores, limit))
+	}
+}
+
+// warmPrefix cuts each core's runs to their first limit lines.
+func warmPrefix(cores [][]trace.Run, limit uint64) [][]trace.Run {
+	warm := make([][]trace.Run, len(cores))
+	for i, runs := range cores {
+		left := limit
+		for _, r := range runs {
+			if left == 0 {
+				break
+			}
+			r.Len = min(r.Len, left)
+			warm[i] = append(warm[i], r)
+			left -= r.Len
+		}
+	}
+	return warm
+}
+
+// reserve gives a code to every tag the cores' runs span, in core, run and
+// tag order, making room for the new ones at once. Given the whole
+// footprint, it leaves the dictionary as the run will find it, so no
+// later install adds a code or widens the slots.
+func (t *tadTags) reserve(cores [][]trace.Run) {
+	var qs []uint64
+	fresh := 0
+	for _, runs := range cores {
+		for _, r := range runs {
+			if r.Len == 0 {
+				continue
+			}
+			lo, _ := t.sets.split(r.First)
+			hi, _ := t.sets.split(r.First + r.Len - 1)
+			for q := lo; q <= hi; q++ {
+				if slices.Contains(qs, q) {
+					continue
+				}
+				qs = append(qs, q)
+				if _, ok := t.codes[q]; !ok {
+					fresh++
+				}
+			}
+		}
+	}
+	if fresh > 0 && uint64(len(t.tags)+fresh) > t.dirty {
+		// widen may drop the dead code of one of qs, which then takes
+		// another: code widens once more if that leaves no room.
+		t.widen(uint64(fresh))
+	}
+	for _, q := range qs {
+		t.code(q)
 	}
 }
 
 // tadPiece is the part of a warm run that lands on the consecutive sets
 // set, set+1, ..., set+n-1 without wrapping, so every line in it has the
-// same quotient tag and the piece writes the one slot value tag+1 to each.
-// If the piece starts at warm position p0 of its core, it writes set s at
+// same quotient tag and the piece writes the tag's one code to each. If
+// the piece starts at warm position p0 of its core, it writes set s at
 // position s-c, where c = set-p0. late is sets-c, which keeps the order
 // unsigned: of two pieces sharing a set, the one with the larger late
 // writes it at the later position.
@@ -35,37 +87,36 @@ type tadPiece struct {
 	core              int
 }
 
-// prewarm leaves the slots exactly as Install would, fed each core's lines
-// position by position, cores in index order. A set's last writer there is
+// prewarm reserves the codes of every tag the cores' runs span, then
+// leaves the slots exactly as Install would, fed the first limit lines of
+// each core's runs position by position, cores in index order. Install
+// adds no code then, since each tag has one. A set's last writer there is
 // the covering piece with the largest late and, among equal late, the
 // highest core; two pieces of one core with equal late never share a set,
 // since a core has one line per position. So the pieces are filled in
 // ascending (late, core) order, each by fillSlots, and the last fill of
-// every set is its last writer. The slots are first widened once to the
-// largest piece tag, the width Install ends at.
-func (t *tadTags) prewarm(cores [][]trace.Run) {
+// every set is its last writer.
+func (t *tadTags) prewarm(cores [][]trace.Run, limit uint64) {
+	t.reserve(cores)
 	sets := t.sets.n
 	var pieces []tadPiece
-	for core, runs := range cores {
+	for core, runs := range warmPrefix(cores, limit) {
 		pos := uint64(0)
 		for _, r := range runs {
 			for line, end := r.First, r.First+r.Len; line < end; {
 				q, set := t.sets.split(line)
 				n := min(end-line, sets-set)
-				pieces = append(pieces, tadPiece{late: pos + sets - set, set: set, n: n, tag: q + 1, core: core})
+				pieces = append(pieces, tadPiece{late: pos + sets - set, set: set, n: n, tag: q, core: core})
 				line, pos = line+n, pos+n
 			}
 		}
-	}
-	if len(pieces) > 0 {
-		t.fit(slices.MaxFunc(pieces, func(a, b tadPiece) int { return cmp.Compare(a.tag, b.tag) }).tag)
 	}
 	slices.SortFunc(pieces, func(a, b tadPiece) int {
 		return cmp.Or(cmp.Compare(a.late, b.late), cmp.Compare(a.core, b.core))
 	})
 	slots, width := t.slots, t.width
 	for _, p := range pieces {
-		fillSlots(slots, width, p.set, p.n, p.tag)
+		fillSlots(slots, width, p.set, p.n, t.codes[p.tag])
 	}
 }
 

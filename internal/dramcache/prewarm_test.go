@@ -3,6 +3,8 @@ package dramcache
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -35,21 +37,34 @@ func roundRobin(cores [][]trace.Run, install func(line uint64)) {
 	}
 }
 
-// warmRuns is each core's warm runs as hier.Sim.prewarm collects them.
-func warmRuns(cfg config.System, wl trace.Workload) [][]trace.Run {
-	fair := uint64(cfg.CacheBytes) / config.TADBytes / uint64(len(wl.Sources))
-	cores := make([][]trace.Run, len(wl.Sources))
+// warmRuns is each core's footprint runs and the warm cap, as
+// hier.Sim.prewarm hands them to Cache.Prewarm.
+func warmRuns(cfg config.System, wl trace.Workload) (cores [][]trace.Run, fair uint64) {
+	fair = uint64(cfg.CacheBytes) / config.TADBytes / uint64(len(wl.Sources))
+	cores = make([][]trace.Run, len(wl.Sources))
 	for i, src := range wl.Sources {
-		cores[i] = src.(trace.Prewarmer).PrewarmRuns(fair)
+		cores[i] = src.(trace.Prewarmer).PrewarmRuns(math.MaxUint64)
 	}
-	return cores
+	return cores, fair
+}
+
+// sameSlab reports whether two TAD stores hold byte-equal slabs over equal
+// dictionaries, and if not, the first differing slab byte (-1 when only
+// the dictionaries differ).
+func sameSlab(a, b *tadTags) (int, bool) {
+	if !bytes.Equal(a.slots, b.slots) {
+		return firstDiff(a.slots, b.slots), false
+	}
+	return -1, slices.Equal(a.tags, b.tags)
 }
 
 // TestPrewarmRunsMatchLineInstall pins the TAD store's run prewarm to the
-// per-line round-robin Install: the slot slabs must be byte-equal. The
-// workloads cover Rate mcf, xalanc and lbm and the MIX1 and MIX5 mixes,
-// whose per-core warm sets differ in length, from paper scale down to
-// 1/4096.
+// per-line round-robin Install of the warm lines after the same code
+// reservation for the footprint's tags: the slot slabs and dictionaries
+// must be equal. The workloads cover Rate mcf, xalanc and lbm and the MIX1
+// and MIX5 mixes, whose per-core warm sets differ in length, from paper
+// scale down to 1/4096. The warm prefix of each core's footprint must be
+// the runs its Prewarmer caps at the same limit.
 func TestPrewarmRunsMatchLineInstall(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -70,14 +85,19 @@ func TestPrewarmRunsMatchLineInstall(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cores := warmRuns(cfg, wl)
+				cores, fair := warmRuns(cfg, wl)
+				for i, runs := range warmPrefix(cores, fair) {
+					if want := wl.Sources[i].(trace.Prewarmer).PrewarmRuns(fair); !slices.Equal(runs, want) {
+						t.Fatalf("core %d: warm prefix %v, want the capped runs %v", i, runs, want)
+					}
+				}
 				ref := NewAlloy("ref", cfg.AlloySets(), fx.l4, fx.mem, Hooks{}, AlloyOpts{})
-				roundRobin(cores, func(line uint64) { ref.Install(line) })
+				ref.tags.(*tadTags).reserve(cores)
+				roundRobin(warmPrefix(cores, fair), func(line uint64) { ref.Install(line) })
 				got := NewAlloy("runs", cfg.AlloySets(), fx.l4, fx.mem, Hooks{}, AlloyOpts{})
-				got.Prewarm(cores)
-				if a, b := got.tags.(*tadTags).slots, ref.tags.(*tadTags).slots; !bytes.Equal(a, b) {
-					t.Fatalf("run prewarm slab differs from the per-line install at byte %d",
-						firstDiff(a, b))
+				got.Prewarm(cores, fair)
+				if at, ok := sameSlab(got.tags.(*tadTags), ref.tags.(*tadTags)); !ok {
+					t.Fatalf("run prewarm slab differs from the per-line install at byte %d", at)
 				}
 			})
 		}
@@ -85,25 +105,27 @@ func TestPrewarmRunsMatchLineInstall(t *testing.T) {
 }
 
 // TestFillSlotsMatchesPutSlot pins the run prewarm's bulk fill to one
-// putSlot per slot at every slot width, every bit shift of the first slot
-// within its byte, and every length from 0 to three periods and one slot,
-// over a slab of random bytes: the slabs must be byte-equal, so the fill
-// writes exactly its own slots' bits.
+// putSlot per slot at every slot width a paper-scale store can reach, every
+// bit shift of the first slot within its byte, and every length from 0 to
+// three periods and one slot, over a slab of random bytes: the slabs must
+// be byte-equal, so the fill writes exactly its own slots' bits. The values
+// are the edges of the code space, clean and dirty: code 1 and the largest
+// code, with and without the top bit.
 func TestFillSlotsMatchesPutSlot(t *testing.T) {
 	r := rng.New(1)
-	for width := uint64(2); width <= 64; width++ {
-		if width > maxSlotBits && width < 64 {
-			continue // not a slot width
-		}
+	maxWidth := uint64(bits.Len64(4 * config.Default(1).AlloySets()))
+	for width := uint64(2); width <= maxWidth; width++ {
 		// The period: the fewest slots that fill a whole number of bytes.
 		period := uint64(1)
 		for period*width%8 != 0 {
 			period++
 		}
+		dirty := uint64(1) << (width - 1)
+		values := []uint64{1, dirty - 1, dirty | 1, dirty | (dirty - 1)}
 		const sets = 64
 		for start := period; start < 2*period; start++ {
 			for n := range 3*period + 2 {
-				v := r.Uint64() & (uint64(1)<<width - 1)
+				v := values[n%uint64(len(values))]
 				want := make([]byte, (sets*width+7)/8+8)
 				for i := range want {
 					want[i] = byte(r.Uint64())
@@ -120,6 +142,19 @@ func TestFillSlotsMatchesPutSlot(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameSets reports whether every set of a and b decodes to the same line
+// and state, and if not, the first set that differs.
+func sameSets(a, b *tadTags) (uint64, bool) {
+	for set := range a.sets.n {
+		la, va, da := a.line(set)
+		lb, vb, db := b.line(set)
+		if la != lb || va != vb || da != db {
+			return set, false
+		}
+	}
+	return 0, true
 }
 
 // firstDiff is the first index at which a and b, of equal length, differ.
@@ -163,12 +198,15 @@ func TestInstallInterleavedMatchesRoundRobin(t *testing.T) {
 	}
 }
 
-// FuzzPrewarmRuns drives both prewarm paths with random set counts and
-// random per-core run lists: runs of several cores overlapping on the same
-// sets, runs longer than the set count that wrap onto their own core, and
-// cores with no runs. The TAD store's slab must equal the per-line
-// round-robin Install's, starting from the same partly filled slab, and the
-// line path must hand Install the round-robin sequence.
+// FuzzPrewarmRuns drives both prewarm paths with random set counts, random
+// per-core run lists and a random warm cap: runs of several cores
+// overlapping on the same sets, runs longer than the set count that wrap
+// onto their own core, and cores with no runs. Starting from the same
+// partly filled slab, the TAD store's slab and dictionary must equal those
+// of the per-line round-robin Install after the same code reservation, and
+// every set must decode as after the plain per-line Install, which
+// reserves nothing. The line path must hand Install the round-robin
+// sequence.
 func FuzzPrewarmRuns(f *testing.F) {
 	for _, sets := range []uint64{1, 2, 3, 7, 28, 1000} {
 		for seed := range uint64(3) {
@@ -194,19 +232,41 @@ func FuzzPrewarmRuns(f *testing.F) {
 				cores[i] = append(cores[i], trace.Run{First: first, Len: r.Uint64n(3*sets + 2)})
 			}
 		}
+		limit := uint64(math.MaxUint64)
+		if r.Bool(0.5) {
+			limit = r.Uint64n(4 * sets)
+		}
 		fx := newFixture()
+		plain := NewAlloy("plain", sets, fx.l4, fx.mem, Hooks{}, AlloyOpts{})
 		ref := NewAlloy("ref", sets, fx.l4, fx.mem, Hooks{}, AlloyOpts{})
 		got := NewAlloy("runs", sets, fx.l4, fx.mem, Hooks{}, AlloyOpts{})
 		for range r.Intn(int(sets)) {
 			line := r.Uint64n(maxLine)
+			plain.Install(line)
 			ref.Install(line)
 			got.Install(line)
 		}
-		roundRobin(cores, func(line uint64) { ref.Install(line) })
-		got.Prewarm(cores)
-		if a, b := got.tags.(*tadTags).slots, ref.tags.(*tadTags).slots; !bytes.Equal(a, b) {
-			t.Fatalf("%d sets, runs %v: run prewarm slab differs from the per-line install at byte %d",
-				sets, cores, firstDiff(a, b))
+		warm := warmPrefix(cores, limit)
+		for i, runs := range warm {
+			var want []uint64
+			roundRobin(cores[i:i+1], func(line uint64) { want = append(want, line) })
+			var got []uint64
+			roundRobin([][]trace.Run{runs}, func(line uint64) { got = append(got, line) })
+			if !slices.Equal(got, want[:min(limit, uint64(len(want)))]) {
+				t.Fatalf("runs %v, cap %d: warm prefix %v is not the first lines", cores[i], limit, runs)
+			}
+		}
+		roundRobin(warm, func(line uint64) { plain.Install(line) })
+		ref.tags.(*tadTags).reserve(cores)
+		roundRobin(warm, func(line uint64) { ref.Install(line) })
+		got.Prewarm(cores, limit)
+		if at, ok := sameSlab(got.tags.(*tadTags), ref.tags.(*tadTags)); !ok {
+			t.Fatalf("%d sets, runs %v, cap %d: run prewarm slab differs from the per-line install at byte %d",
+				sets, cores, limit, at)
+		}
+		if set, ok := sameSets(got.tags.(*tadTags), plain.tags.(*tadTags)); !ok {
+			t.Fatalf("%d sets, runs %v, cap %d: set %d decodes differently after the run prewarm and the plain per-line install",
+				sets, cores, limit, set)
 		}
 
 		var want []uint64

@@ -10,9 +10,10 @@ import (
 	"bear/internal/trace"
 )
 
-// TestNoTADWideningAfterSetup pins the TAD slab to its set-up allocation:
-// after hier.NewSim has prewarmed the cache, neither the warm-up nor the
-// measured run widens the slots, so the steady state allocates no slab.
+// TestNoTADWideningAfterSetup pins the TAD slab and its tag dictionary to
+// their set-up state: after hier.NewSim has prewarmed the cache, neither
+// the warm-up nor the measured run widens the slots or adds a tag code, so
+// the steady state allocates no slab and no dictionary entry.
 // It covers the four Alloy-family designs on Rate mcf, lbm and xalanc at
 // 1/64 and 1/256, and BEAR on xalanc at paper scale.
 func TestNoTADWideningAfterSetup(t *testing.T) {
@@ -41,15 +42,18 @@ func TestNoTADWideningAfterSetup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slots, width := dramcache.TADSlab(sim.Bundle.Cache)
+			slots, width, codes := dramcache.TADSlab(sim.Bundle.Cache)
 			if width == 0 {
 				t.Fatal("prewarm left the TAD store empty")
 			}
 			check := func(phase string) {
 				t.Helper()
-				s, w := dramcache.TADSlab(sim.Bundle.Cache)
+				s, w, n := dramcache.TADSlab(sim.Bundle.Cache)
 				if &s[0] != &slots[0] || w != width {
 					t.Fatalf("%s widened the slots from %d to %d bits", phase, width, w)
+				}
+				if n != codes {
+					t.Fatalf("%s changed the tag codes from %d to %d", phase, codes, n)
 				}
 			}
 			sim.RunWarm()

@@ -366,6 +366,9 @@ func (r *Runner) simulate(s spec, wlName string, mk func() (trace.Workload, erro
 	if q == nil {
 		q = new(event.Queue)
 	}
+	// A failed or panicking run leaves events behind; NewSimQueue resets
+	// the queue before its next use, so it goes back to the pool anyway.
+	defer r.queues.Put(q)
 	sim, err := hier.NewSimQueue(sys, wl, r.p.Warm, r.p.Meas, q)
 	if err != nil {
 		return nil, err
@@ -375,7 +378,6 @@ func (r *Runner) simulate(s spec, wlName string, mk func() (trace.Workload, erro
 	if err != nil {
 		return nil, err
 	}
-	r.queues.Put(q)
 
 	r.mu.Lock()
 	r.count++

@@ -3,10 +3,14 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"bear/internal/config"
+	"bear/internal/event"
 	"bear/internal/fault"
 	"bear/internal/hier"
 	"bear/internal/trace"
@@ -70,6 +74,56 @@ func TestRunnerSurvivesPanic(t *testing.T) {
 	r.WriteFailureTable(&buf)
 	if !strings.Contains(buf.String(), "FAIL") || !strings.Contains(buf.String(), "boom") {
 		t.Errorf("failure table missing the failed unit:\n%s", buf.String())
+	}
+}
+
+// TestFailedUnitReturnsQueue pins the event-queue pool across unit
+// failures: a unit that fails, by an error from hier.NewSimQueue or by a
+// panic inside the run, still hands its queue back, and the next unit on
+// the worker reuses it and gets the result a fresh runner gets.
+func TestFailedUnitReturnsQueue(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of its Puts under the race detector")
+	}
+	// A GC empties the pool, and a Put on one P is not always seen by a
+	// Get on another.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	p := tinyParams()
+	want, err := NewRunner(p).Rate(specAlloy, "soplex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := config.Default(p.Scale).Core.Count
+	for _, bad := range []struct {
+		name string
+		mk   func() (trace.Workload, error)
+	}{
+		{"empty", func() (trace.Workload, error) { return trace.Workload{Name: "empty"}, nil }},
+		{"boom", boomWorkload(cores)},
+	} {
+		r := NewRunner(p)
+		r.Parallel = 1
+		q := new(event.Queue)
+		r.queues.Put(q)
+		if _, err := (Future{r.start(specAlloy, bad.name, bad.mk)}).Wait(); err == nil {
+			t.Fatalf("%s: unit succeeded, want a failure", bad.name)
+		}
+		if got, _ := r.queues.Get().(*event.Queue); got != q {
+			t.Fatalf("%s: the failed unit did not return its queue", bad.name)
+		}
+		r.queues.Put(q)
+		res, err := r.Rate(specAlloy, "soplex")
+		if err != nil {
+			t.Fatalf("after %s: %v", bad.name, err)
+		}
+		if got, _ := r.queues.Get().(*event.Queue); got != q {
+			t.Fatalf("after %s: the next unit did not reuse the queue", bad.name)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("after %s: the unit on the reused queue differs from a fresh runner's", bad.name)
+		}
 	}
 }
 

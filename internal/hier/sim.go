@@ -2,6 +2,7 @@ package hier
 
 import (
 	"fmt"
+	"math"
 
 	"bear/internal/config"
 	"bear/internal/cpu"
@@ -134,17 +135,19 @@ func newSim(cfg config.System, wl trace.Workload, warm, meas uint64, q *event.Qu
 
 // prewarm functionally installs each workload's steady-state residency into
 // the L4 before any timed instruction executes: each core's warm runs,
-// capped at its fair share of the TAD sets. Cache.Prewarm owns the order.
+// capped at its fair share of the TAD sets. It hands Cache.Prewarm the
+// whole footprint and the cap, so the cache can also prepare for the lines
+// the cap leaves out. Cache.Prewarm owns the order.
 func (s *Sim) prewarm() {
 	cores := len(s.Workload.Sources)
 	fair := uint64(s.Cfg.CacheBytes) / config.TADBytes / uint64(cores)
 	runs := make([][]trace.Run, cores)
 	for i, src := range s.Workload.Sources {
 		if p, ok := src.(trace.Prewarmer); ok {
-			runs[i] = p.PrewarmRuns(fair)
+			runs[i] = p.PrewarmRuns(math.MaxUint64)
 		}
 	}
-	s.Bundle.Cache.Prewarm(runs)
+	s.Bundle.Cache.Prewarm(runs, fair)
 }
 
 func (s *Sim) onWarm(coreID int) {

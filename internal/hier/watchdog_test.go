@@ -25,7 +25,7 @@ func (b *blackHole) Read(now uint64, coreID int, line, pc uint64, done func(uint
 func (b *blackHole) Writeback(now uint64, coreID int, line uint64, pres core.Presence) {}
 func (b *blackHole) Contains(line uint64) bool                                         { return false }
 func (b *blackHole) Install(lines ...uint64)                                           {}
-func (b *blackHole) Prewarm(cores [][]trace.Run)                                       {}
+func (b *blackHole) Prewarm([][]trace.Run, uint64)                                     {}
 func (b *blackHole) Stats() *stats.L4                                                  { return &b.st }
 func (b *blackHole) OutstandingTxns() int                                              { return 0 }
 

@@ -67,16 +67,18 @@ go test -run '^$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/faultpoint
 # line % sets for every set count. Crashers land in
 # internal/dramcache/testdata/fuzz.
 go test -run '^$' -fuzz FuzzTADSetIndex -fuzztime 10s ./internal/dramcache
-# And for its bit-packed slots: random set counts and write sequences, with
-# tags of every magnitude so the slots widen step by step (seeded at every
-# width boundary, the 57 -> 64 bit jump included, and at all 8 bit shifts
-# within a byte), must decode back to the written line and dirty bit and
-# leave both neighbouring sets decoding as before (widening rewrites their
-# bits, not their contents).
+# And for its dictionary-coded slots: random set counts and write sequences,
+# with tags from a small pool (code reuse) and of every magnitude (the code
+# space fills, widens and drops dead codes; seeded with pools on each side of
+# every code-space boundary up to 9 bits), must decode back to the written
+# line and dirty bit, leave both neighbouring sets decoding as before
+# (widening and renumbering rewrite their bits, not their contents), and keep
+# the dictionary consistent and the width within bits.Len64(4*sets).
 go test -run '^$' -fuzz FuzzTADSlots -fuzztime 10s ./internal/dramcache
-# And for its run prewarm: random set counts and per-core run lists, with
-# cross-core overlaps and runs that wrap onto their own core, must leave the
-# slots exactly as the per-line round-robin Install does.
+# And for its run prewarm: random set counts, per-core run lists and warm
+# caps, with cross-core overlaps and runs that wrap onto their own core, must
+# leave the slots exactly as the per-line round-robin Install does after the
+# same code reservation, and every set decoding as the plain Install leaves it.
 go test -run '^$' -fuzz FuzzPrewarmRuns -fuzztime 10s ./internal/dramcache
 
 # perfbench is its own module (perfbench/go.mod), so `./...` and simlint
