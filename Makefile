@@ -25,11 +25,11 @@ vet:
 	$(GO) vet ./...
 
 # lint runs simlint, the repository's own static analyzer: determinism
-# (wall clock / math/rand / os.Getenv / map-order folds / stray goroutines),
-# typed invariant panics, event-time monotonicity and the stats census. See
-# ARCHITECTURE.md "Enforced invariants" for the rule catalogue. -cache keys
-# the result on a hash of every non-test .go file (.simlint.cache), so a
-# clean re-run replays without re-type-checking the module.
+# (wall clock / math/rand / os.Getenv / map-order folds / stray goroutines)
+# and typed invariant panics. See ARCHITECTURE.md "Enforced invariants" for
+# the rule catalogue. -cache keys the result on a hash of every non-test .go
+# file (.simlint.cache), so a clean re-run replays without re-type-checking
+# the module.
 lint:
 	$(GO) run ./cmd/simlint -cache ./...
 

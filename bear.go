@@ -197,6 +197,7 @@ type Result struct {
 	Instructions uint64
 	IPC          float64
 	CoreIPC      []float64
+	CoreInstr    []uint64 // measured instructions retired per core
 
 	L3MPKI       float64
 	L3MissRate   float64 // fraction of L3 accesses that missed
@@ -214,6 +215,11 @@ type Result struct {
 
 	BloatFactor float64
 	Breakdown   Breakdown
+
+	// L4 fills installed, and writeback probes (or DCP lookups) that found
+	// or missed the line.
+	Fills            uint64
+	WBHits, WBMisses uint64
 
 	// BEAR component diagnostics.
 	Bypasses       uint64
@@ -236,6 +242,7 @@ func resultFrom(r *stats.Run) *Result {
 		Instructions: r.Instructions,
 		IPC:          r.IPC(),
 		CoreIPC:      r.CoreIPC,
+		CoreInstr:    r.CoreInstr,
 		L3MPKI:       r.MPKI(),
 		L3MissRate:   r.L3MissRate(),
 		L3Misses:     r.L3Misses,
@@ -258,6 +265,9 @@ func resultFrom(r *stats.Run) *Result {
 			VictimRead: l4.CategoryFactor(stats.VictimRead),
 			ReplUpdate: l4.CategoryFactor(stats.ReplUpdate),
 		},
+		Fills:          l4.Fills,
+		WBHits:         l4.WBHits,
+		WBMisses:       l4.WBMisses,
 		Bypasses:       l4.Bypasses,
 		DCPProbesSaved: l4.DCPProbesSaved,
 		NTCProbesSaved: l4.NTCProbesSaved,

@@ -25,7 +25,11 @@ type resultStore struct {
 	fingerprint string
 }
 
-const resumeVersion = 1
+// resumeVersion names the stored bear.Result shape. A "dev" build
+// (no VCS stamp) keeps one fingerprint across edits, so a change to Result's
+// fields bumps this instead: an entry written without them is a miss, not a
+// result with zeros where the new fields belong.
+const resumeVersion = 2
 
 type resumeEnvelope struct {
 	Version     int             `json:"version"`

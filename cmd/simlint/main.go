@@ -1,7 +1,7 @@
 // Command simlint is the repository's static analyzer: it enforces the
-// determinism, map-order, goroutine, typed-invariant, event-time and
-// stats-census invariants described in ARCHITECTURE.md ("Enforced
-// invariants"), using only the Go standard library.
+// determinism, map-order, goroutine and typed-invariant rules described in
+// ARCHITECTURE.md ("Enforced invariants"), using only the Go standard
+// library.
 //
 // Usage:
 //
@@ -79,13 +79,9 @@ func run(args []string) error {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	full := false
 	var dirs []string
 	for _, arg := range args {
 		if strings.HasSuffix(arg, "...") {
-			if arg == "./..." || arg == "..." {
-				full = true
-			}
 			base := filepath.Join(root, strings.TrimSuffix(strings.TrimSuffix(arg, "..."), "/"))
 			sub, err := lint.FindPackageDirs(base)
 			if err != nil {
@@ -117,7 +113,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	diags := prog.Run(repoConfig(module, full))
+	diags := prog.Run(repoConfig(module))
 	var found []finding
 	for _, d := range diags {
 		rel, err := filepath.Rel(root, d.Pos.Filename)
@@ -171,21 +167,17 @@ func emit(found []finding, jsonOut bool) {
 //     from a driver is as nondeterministic as from a model;
 //   - the typed-invariant rule (no bare string panics) covers the engine
 //     packages whose panics cross the fault-isolation recover in
-//     internal/exp and must arrive classifiable;
-//   - the timeflow rule covers every package that schedules events;
-//   - the stats census needs the whole program to see both producers and
-//     consumers, so it runs only on full ./... invocations.
-func repoConfig(module string, full bool) lint.Config {
+//     internal/exp and must arrive classifiable.
+//
+// Event-time monotonicity and the stats census are not static rules: the
+// past-time panics in event.Queue.At and dram.Memory.Enqueue and the root
+// package's TestStatsCensus check them on real runs.
+func repoConfig(module string) lint.Config {
 	internal := module + "/internal/"
 	engine := map[string]bool{
-		internal + "dram": true, internal + "sram": true,
-		internal + "cpu": true, internal + "hier": true,
-		internal + "dramcache": true,
-	}
-	timed := map[string]bool{
 		internal + "event": true, internal + "dram": true,
-		internal + "cpu": true, internal + "hier": true,
-		internal + "dramcache": true,
+		internal + "sram": true, internal + "cpu": true,
+		internal + "hier": true, internal + "dramcache": true,
 	}
 	return lint.Config{
 		Determinism: func(path string) bool {
@@ -196,10 +188,6 @@ func repoConfig(module string, full bool) lint.Config {
 		},
 		MapRange:       func(path string) bool { return true },
 		InvariantPanic: func(path string) bool { return engine[path] },
-		Timeflow:       func(path string) bool { return timed[path] },
-		StatsFields: func(path string) bool {
-			return full && path == internal+"stats"
-		},
 	}
 }
 

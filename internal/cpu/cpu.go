@@ -42,7 +42,7 @@ const quantum = 32
 
 type pendingLoad struct {
 	idx        uint64 // instruction number of the load
-	completeAt uint64 //bear:clock — valid when !pending
+	completeAt uint64 // valid when !pending
 	pending    bool   // true while waiting for an async callback
 }
 
@@ -96,7 +96,7 @@ func (r *loadRing) PopFront() {
 // answered synchronously. Draining it as core time advances keeps the MSHR
 // occupancy count exact without rescanning the outstanding window.
 type timeHeap struct {
-	h []uint64 //bear:clock — completion times, min-heap order
+	h []uint64 // completion times, min-heap order
 }
 
 func (t *timeHeap) push(v uint64) {
@@ -465,7 +465,7 @@ func (c *Core) waitForLoads(anyLoad bool) {
 	}
 	if haveWake {
 		c.StallCycles += wake - stallFrom
-		c.q.At(wake, c.runFn) //bear:nolint timeflow — wake copies a clock-valued field (syncDone.h top or completeAt) on the haveWake paths; the unassigned path is excluded by haveWake, which the dataflow cannot correlate
+		c.q.At(wake, c.runFn)
 	}
 	// Otherwise a pending callback will resume us.
 }

@@ -289,6 +289,8 @@ func (m *Memory) LiveRequests() int { return m.live }
 
 // Enqueue submits a request. Reads invoke r.OnComplete at data return;
 // writes complete silently (posted) but still consume bank and bus time.
+// A request outside the geometry, without a payload, or enqueued before
+// the queue's current cycle panics with a *fault.Invariant.
 func (m *Memory) Enqueue(now uint64, r *Request) {
 	if r.Channel < 0 || r.Channel >= m.cfg.Channels {
 		panic(fault.Invariantf("dram", "%s: channel %d out of range", m.Name, r.Channel))
@@ -298,6 +300,9 @@ func (m *Memory) Enqueue(now uint64, r *Request) {
 	}
 	if r.Bytes <= 0 {
 		panic(fault.Invariantf("dram", "%s: request with no payload", m.Name))
+	}
+	if now < m.q.Now() {
+		panic(fault.Invariantf("dram", "%s: request enqueued at cycle %d, before now %d", m.Name, now, m.q.Now()))
 	}
 	if r.m == nil {
 		// Externally constructed: bind the completion callback once.
@@ -409,8 +414,6 @@ func (m *Memory) kick(now uint64, c *channel) {
 //     its start is at least max(bank busy, now) + tRCD + tCAS and at least
 //     the bus-free time. When that bound cannot beat the best, the miss is
 //     skipped without the tRAS/tFAW/refresh computation.
-//
-//bear:clock result=1
 func (m *Memory) pick(now uint64, c *channel, q *reqQ) (idx int, start uint64, rowHit bool) {
 	busFree := max64(c.busFreeAt, now)
 	idx = -1
@@ -524,7 +527,6 @@ func (m *Memory) alignSlow(start, burst uint64) uint64 {
 	}
 }
 
-//bear:clock start
 func (m *Memory) commit(now uint64, c *channel, r *Request, start uint64, rowHit bool) {
 	b := &c.banks[r.Bank]
 	burst := r.burst

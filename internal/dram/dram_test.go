@@ -6,6 +6,7 @@ import (
 
 	"bear/internal/config"
 	"bear/internal/event"
+	"bear/internal/fault"
 )
 
 func testCfg() config.DRAM {
@@ -189,13 +190,30 @@ func TestEnqueueValidation(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("bad request %+v did not panic", r)
+				if inv, ok := recover().(*fault.Invariant); !ok || inv.Component != "dram" {
+					t.Errorf("bad request %+v raised %v, want a dram *fault.Invariant", r, inv)
 				}
 			}()
 			m.Enqueue(0, r)
 		}()
 	}
+}
+
+// TestEnqueueInThePastPanics: every L4 and main-memory access reaches the
+// bus through Enqueue, so a request timed before the queue's current cycle
+// fails there with a typed fault instead of corrupting causality.
+func TestEnqueueInThePastPanics(t *testing.T) {
+	var q event.Queue
+	m := New("t", testCfg(), &q)
+	q.At(10, func(uint64) {})
+	q.Step()
+	defer func() {
+		inv, ok := recover().(*fault.Invariant)
+		if !ok || inv.Component != "dram" {
+			t.Fatalf("past-time enqueue raised %v, want a dram *fault.Invariant", inv)
+		}
+	}()
+	m.Read(9, 0, 0, 0, 64, nil)
 }
 
 func TestDeterminism(t *testing.T) {

@@ -279,16 +279,12 @@ func (c *Controller) OutstandingTxns() int { return c.live }
 
 // l4Read charges bytes to cat and enqueues a DRAM-cache bus read whose
 // completion runs fn (victim recovery reads).
-//
-//bear:clock at
 func (c *Controller) l4Read(at uint64, loc Location, cat stats.Category, bytes int, fn event.Func) {
 	c.st.AddBytes(cat, bytes)
 	c.l4.Read(at, loc.Ch, loc.Bk, loc.Row, bytes, fn)
 }
 
 // l4Write charges bytes to cat and enqueues a DRAM-cache bus write.
-//
-//bear:clock at
 func (c *Controller) l4Write(at uint64, loc Location, cat stats.Category, bytes int) {
 	c.st.AddBytes(cat, bytes)
 	c.l4.Write(at, loc.Ch, loc.Bk, loc.Row, bytes)
@@ -297,8 +293,6 @@ func (c *Controller) l4Write(at uint64, loc Location, cat stats.Category, bytes 
 // probe enqueues the transaction's probe or hit read; onProbe charges bytes
 // to cat when it completes and then runs then. A transaction has at most one
 // such read in flight, so one slot on the txn holds its charge.
-//
-//bear:clock at
 func (x *txn) probe(at uint64, loc Location, cat stats.Category, bytes int, then event.Func) {
 	x.probeCat, x.probeBytes, x.then = cat, bytes, then
 	x.c.l4.Read(at, loc.Ch, loc.Bk, loc.Row, bytes, x.fnProbe)

@@ -42,7 +42,7 @@ type lhTags struct {
 	channels uint64
 	banks    uint64
 
-	lastNow uint64 //bear:clock — current request time, for MissMap-forced evictions
+	lastNow uint64 // current request time, for MissMap-forced evictions
 }
 
 // locate maps a set (row) to DRAM coordinates.

@@ -22,7 +22,11 @@
 // back to back keeps one grown node slab and backing array per worker.
 package event
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"bear/internal/fault"
+)
 
 // Func is a callback invoked when simulated time reaches its scheduled cycle.
 // The argument is the current simulation time in CPU cycles.
@@ -82,7 +86,7 @@ type Queue struct {
 	h []item
 
 	seq uint64
-	now uint64 //bear:clock
+	now uint64
 }
 
 // Now returns the current simulation time in CPU cycles.
@@ -96,12 +100,11 @@ func (q *Queue) Now() uint64 { return q.now }
 func (q *Queue) Executed() uint64 { return q.seq - uint64(q.Len()) }
 
 // At schedules fn to run at cycle at. Scheduling in the past is a programming
-// error and panics, because it would silently corrupt causality.
-//
-//bear:clock at
+// error and panics with a *fault.Invariant, because it would silently
+// corrupt causality.
 func (q *Queue) At(at uint64, fn Func) {
 	if at < q.now {
-		panic("event: scheduled in the past")
+		panic(fault.Invariantf("event", "scheduled at cycle %d, before now %d", at, q.now))
 	}
 	q.seq++
 	if at-q.now < calBuckets {
@@ -118,8 +121,6 @@ func (q *Queue) After(delay uint64, fn Func) {
 }
 
 // pushCal appends an event to its cycle's bucket in O(1).
-//
-//bear:clock at
 func (q *Queue) pushCal(at uint64, fn Func) {
 	if q.heads == nil {
 		q.heads = make([]int32, calBuckets)

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"bear/internal/fault"
 )
 
 func TestOrdering(t *testing.T) {
@@ -63,13 +65,16 @@ func TestAfter(t *testing.T) {
 	q.Run(nil)
 }
 
+// TestPastSchedulingPanics pins the past-time check to a typed fault, so
+// the experiment Runner's recover boundary can classify it.
 func TestPastSchedulingPanics(t *testing.T) {
 	var q Queue
 	q.At(10, func(uint64) {})
 	q.Step()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
+		inv, ok := recover().(*fault.Invariant)
+		if !ok || inv.Component != "event" {
+			t.Fatalf("scheduling in the past raised %v, want an event *fault.Invariant", inv)
 		}
 	}()
 	q.At(5, func(uint64) {})

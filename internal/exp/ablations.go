@@ -13,7 +13,6 @@ import (
 
 	"bear/internal/config"
 	"bear/internal/stats"
-	"bear/internal/trace"
 )
 
 // ablationWorkloads is a representative subset spanning the behaviours the
@@ -214,8 +213,6 @@ func fillPerRead(l *stats.L4) float64 {
 	}
 	return float64(l.Bytes[stats.MissFill]) / float64(l.Reads())
 }
-
-var _ = trace.RateNames // keep the import pattern consistent with experiments.go
 
 func init() {
 	register(Experiment{

@@ -481,11 +481,8 @@ func (a *aggregate) add(r *stats.Run) {
 	}
 	a.l4.ReadHits += src.ReadHits
 	a.l4.ReadMisses += src.ReadMisses
-	a.l4.WBHits += src.WBHits
-	a.l4.WBMisses += src.WBMisses
 	a.l4.HitLatSum += src.HitLatSum
 	a.l4.MissLatSum += src.MissLatSum
-	a.l4.Fills += src.Fills
 	a.l4.Bypasses += src.Bypasses
 }
 

@@ -1,6 +1,6 @@
 // Package lint implements simlint, the repository's static analyzer. It
 // enforces, at analysis time, the invariants the simulator's correctness
-// rests on and that earlier work established by hand:
+// rests on that neither the type system nor a running simulation can check:
 //
 //   - determinism: simulation packages must not read wall-clock time,
 //     ambient randomness or the environment, must not iterate maps into
@@ -9,24 +9,23 @@
 //   - typed invariants: engine packages must not panic with bare strings;
 //     they raise typed errors (fault.Invariantf) that the fault-isolation
 //     recover in internal/exp can classify.
-//   - event-time monotonicity: arguments reaching //bear:clock parameters
-//     (event scheduling sites) are provably >= the current simulated time.
-//   - stats census: every field of the stats structs is both written by a
-//     simulation path and consumed by an experiment or report.
 //
-// The one path-sensitive rule, timeflow, runs on an intraprocedural CFG
-// (cfg.go) and branch-merging worklist solver (dataflow.go).
+// Every rule is a syntactic walk over one type-checked package; none needs
+// control flow or dataflow. A //bear:nolint naming no known rule is itself
+// reported, so a suppression cannot outlive the rule it silenced.
 //
 // Properties a running simulation can check on itself are checked there
-// instead: freelist leaks by live counts at the -check drain (hier.Sim),
+// instead: event times by the past-time panics in event.Queue.At and
+// dram.Memory.Enqueue, the stats census by TestStatsCensus in the root
+// package, freelist leaks by live counts at the -check drain (hier.Sim),
 // steady-state allocation by TestSteadyStateAllocs, duplicate experiment
 // ids by the registry's init-time panic, and a missing Layout by the
 // dramcache controller constructor's required argument.
 //
 // The analyzer is built on the standard library only (go/parser, go/ast,
 // go/types with go/importer's source mode); see cmd/simlint for the CLI and
-// ARCHITECTURE.md ("Enforced invariants") for the rule catalogue, the
-// annotation grammar and the //bear:nolint escape hatch.
+// ARCHITECTURE.md ("Enforced invariants") for the rule catalogue and the
+// //bear:nolint escape hatch.
 package lint
 
 import (
@@ -48,9 +47,13 @@ const (
 	RuleMapRange    = "maprange"    // map iteration into an order-sensitive sink
 	RuleGoroutine   = "goroutine"   // go statement outside the sanctioned layer
 	RuleInvariant   = "invariant"   // bare string panic in an engine package
-	RuleTimeflow    = "timeflow"    // event scheduled at a time not provably >= now
-	RuleStats       = "stats"       // stats field never written or never consumed
+	RuleNolint      = "nolint"      // //bear:nolint naming no known rule
 )
+
+// knownRules are the names a //bear:nolint may suppress.
+var knownRules = map[string]bool{
+	RuleDeterminism: true, RuleMapRange: true, RuleGoroutine: true, RuleInvariant: true,
+}
 
 // Diagnostic is one finding, positioned for file:line reporting.
 type Diagnostic struct {
@@ -80,14 +83,6 @@ type Config struct {
 	// not a repository-wide one, so it applies only where the caller
 	// opts packages in.
 	InvariantPanic func(pkgPath string) bool
-	// Timeflow gates the event-time monotonicity rule (arguments reaching
-	// annotated schedule sites must be provably >= now). Nil disables.
-	Timeflow func(pkgPath string) bool
-	// StatsFields selects the packages whose struct fields the stats rule
-	// censuses: every field must be written somewhere and read somewhere in
-	// the analyzed program. Nil disables; callers should enable it only on
-	// whole-module runs, where "nowhere" means something.
-	StatsFields func(pkgPath string) bool
 }
 
 func (c Config) determinism(path string) bool {
@@ -106,14 +101,6 @@ func (c Config) invariantPanic(path string) bool {
 	return c.InvariantPanic != nil && c.InvariantPanic(path)
 }
 
-func (c Config) timeflow(path string) bool {
-	return c.Timeflow != nil && c.Timeflow(path)
-}
-
-func (c Config) statsFields(path string) bool {
-	return c.StatsFields != nil && c.StatsFields(path)
-}
-
 // Package is one parsed and type-checked package under analysis.
 type Package struct {
 	Path  string
@@ -122,8 +109,10 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// nolint maps file -> line -> suppressed rule set ("" suppresses all).
+	// nolint maps file -> line -> suppressed rule set.
 	nolint map[string]map[int]map[string]bool
+	// badNolint holds the //bear:nolint comments that name no known rule.
+	badNolint []Diagnostic
 }
 
 // Program is the full set of packages under analysis, sharing one FileSet
@@ -201,13 +190,15 @@ func loadPackage(fset *token.FileSet, imp types.Importer, path, dir string) (*Pa
 		return nil, fmt.Errorf("lint: type-checking %s: %v", path, hard[0])
 	}
 
+	nolint, bad := collectNolint(fset, files)
 	return &Package{
-		Path:   path,
-		Dir:    dir,
-		Files:  files,
-		Types:  tpkg,
-		Info:   info,
-		nolint: collectNolint(fset, files),
+		Path:      path,
+		Dir:       dir,
+		Files:     files,
+		Types:     tpkg,
+		Info:      info,
+		nolint:    nolint,
+		badNolint: bad,
 	}, nil
 }
 
@@ -277,25 +268,10 @@ func (p *Program) Run(cfg Config) []Diagnostic {
 		diags = append(diags, Diagnostic{Pos: position, Rule: rule, Message: fmt.Sprintf(format, args...)})
 	}
 
-	sums := p.summarize()
-	clockFields := map[string]bool{}
-	for _, pkg := range p.Pkgs {
-		for k := range collectClockFields(pkg) {
-			clockFields[k] = true
-		}
-	}
 	for _, pkg := range p.Pkgs {
 		p.checkDeterminism(pkg, cfg, report)
 		p.checkInvariantPanics(pkg, cfg, report)
-		if cfg.timeflow(pkg.Path) {
-			p.checkTimeflow(pkg, sums, clockFields, report)
-		}
-	}
-	p.checkStatsFields(cfg, report)
-	for _, s := range sums {
-		for _, e := range s.annotErrs {
-			report(s.pkg, RuleTimeflow, e.pos, "%s", e.msg)
-		}
+		diags = append(diags, pkg.badNolint...)
 	}
 
 	// Sort by (file, line, column, rule, message) so output is byte-stable
@@ -324,10 +300,15 @@ func (p *Program) Run(cfg Config) []Diagnostic {
 // can trail the flagged statement or sit on its own line above it:
 //
 //	//bear:nolint maprange — keys feed an order-insensitive set
+//
+// A comment naming no rule, or a name that is not a rule, comes back as a
+// diagnostic: it suppresses nothing, and a stale one would otherwise sit in
+// the tree unnoticed after its rule is retired.
 type collectT = map[string]map[int]map[string]bool
 
-func collectNolint(fset *token.FileSet, files []*ast.File) collectT {
+func collectNolint(fset *token.FileSet, files []*ast.File) (collectT, []Diagnostic) {
 	out := collectT{}
+	var bad []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -341,28 +322,33 @@ func collectNolint(fset *token.FileSet, files []*ast.File) collectT {
 						text = text[:i]
 					}
 				}
-				rules := map[string]bool{}
-				for _, r := range strings.FieldsFunc(text, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
-					rules[r] = true
-				}
 				pos := fset.Position(c.Pos())
+				rules := strings.FieldsFunc(text, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' })
+				if len(rules) == 0 {
+					bad = append(bad, Diagnostic{Pos: pos, Rule: RuleNolint, Message: "//bear:nolint names no rule"})
+				}
 				byLine := out[pos.Filename]
 				if byLine == nil {
 					byLine = map[int]map[string]bool{}
 					out[pos.Filename] = byLine
 				}
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					if byLine[line] == nil {
-						byLine[line] = map[string]bool{}
+				for _, r := range rules {
+					if !knownRules[r] {
+						bad = append(bad, Diagnostic{Pos: pos, Rule: RuleNolint,
+							Message: fmt.Sprintf("//bear:nolint names %q, which is not a rule", r)})
+						continue
 					}
-					for r := range rules {
+					for _, line := range []int{pos.Line, pos.Line + 1} {
+						if byLine[line] == nil {
+							byLine[line] = map[string]bool{}
+						}
 						byLine[line][r] = true
 					}
 				}
 			}
 		}
 	}
-	return out
+	return out, bad
 }
 
 func (pkg *Package) suppressed(pos token.Position, rule string) bool {

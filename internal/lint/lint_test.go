@@ -23,8 +23,6 @@ func testConfig() Config {
 		AllowGo:        func(p string) bool { return p == "fix/gook" },
 		MapRange:       func(p string) bool { return p != "fix/exempt" },
 		InvariantPanic: func(p string) bool { return p == "fix/inv" },
-		Timeflow:       func(p string) bool { return p == "fix/timeflow" },
-		StatsFields:    func(p string) bool { return p == "fix/statsrule" },
 	}
 }
 
@@ -126,8 +124,8 @@ func TestSuppressionIsRuleScoped(t *testing.T) {
 	if !pkg.suppressed(pos, "maprange") {
 		t.Error("maprange should be suppressed on f.go:10")
 	}
-	if pkg.suppressed(pos, RuleTimeflow) {
-		t.Error("timeflow must not be suppressed by a maprange nolint")
+	if pkg.suppressed(pos, RuleDeterminism) {
+		t.Error("determinism must not be suppressed by a maprange nolint")
 	}
 	if pkg.suppressed(token.Position{Filename: "f.go", Line: 11}, "maprange") {
 		t.Error("line 11 has no suppression entry of its own in this fixture")

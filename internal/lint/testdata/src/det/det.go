@@ -110,3 +110,18 @@ func suppressedAbove(m map[string]float64) float64 {
 	}
 	return sum
 }
+
+// staleSuppression names a rule that does not exist: the nolint is reported
+// and suppresses nothing, so the finding it sits on is reported too.
+func staleSuppression(m map[string]float64) float64 {
+	sum := 0.0
+	for _, v := range m {
+		sum += v //bear:nolint hotpath — retired rule // want "nolint: //bear:nolint names .hotpath., which is not a rule" // want "maprange: map iteration accumulates into sum"
+	}
+	return sum
+}
+
+// bareSuppression names no rule at all.
+func bareSuppression() {
+	_ = 0 //bear:nolint — no rule named // want "nolint: //bear:nolint names no rule"
+}

@@ -20,8 +20,8 @@ fi
 
 go vet ./...
 # simlint enforces the simulator's own invariants (determinism, map-order
-# folds, stray goroutines, typed invariant panics, event-time monotonicity,
-# stats census) before the expensive race gate runs; see ARCHITECTURE.md
+# folds, stray goroutines, typed invariant panics) before the expensive
+# race gate runs; see ARCHITECTURE.md
 # "Enforced invariants". -cache keys the run on a
 # hash of every non-test .go file, so an unchanged tree replays instantly.
 go run ./cmd/simlint -cache ./...

@@ -1,4 +1,4 @@
-package bear_test
+package bear
 
 // End-to-end hot-path benchmarks: BenchmarkSimAlloy and BenchmarkSimBEAR run
 // one complete simulation per iteration and report ns/instr and allocs/instr
