@@ -282,7 +282,7 @@ func reportNolints(w io.Writer, root string) error {
 	type supp struct {
 		file string
 		line int
-		body string
+		n    lint.Nolint
 	}
 	var supps []supp
 	fset := token.NewFileSet()
@@ -309,14 +309,14 @@ func reportNolints(w io.Writer, root string) error {
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				body, ok := strings.CutPrefix(c.Text, "//bear:nolint")
-				if !ok || (body != "" && body[0] != ' ' && body[0] != '\t') {
+				n, ok := lint.ParseNolint(c.Text)
+				if !ok {
 					continue
 				}
 				supps = append(supps, supp{
 					file: filepath.ToSlash(rel),
 					line: fset.Position(c.Pos()).Line,
-					body: strings.TrimSpace(body),
+					n:    n,
 				})
 			}
 		}
@@ -332,7 +332,7 @@ func reportNolints(w io.Writer, root string) error {
 		return supps[i].line < supps[j].line
 	})
 	for _, s := range supps {
-		fmt.Fprintf(w, "%s:%d: %s\n", s.file, s.line, s.body)
+		fmt.Fprintf(w, "%s:%d: %s\n", s.file, s.line, s.n)
 	}
 	fmt.Fprintf(w, "%d suppression(s)\n", len(supps))
 	return nil

@@ -12,8 +12,9 @@
 //
 // The per-instruction path is steady-state allocation-free: the core's wakeup
 // callback is bound once at construction, load-completion callbacks are
-// pooled tokens with pre-bound methods, and the outstanding-load window is a
-// reusable ring buffer.
+// pooled tokens with pre-bound methods, the outstanding-load window is a
+// reusable ring buffer, and trace records arrive in a fixed block embedded
+// in the core.
 package cpu
 
 import (
@@ -27,9 +28,9 @@ import (
 type MemPort interface {
 	// Load issues a load for a line address. If the port can bound the
 	// completion time immediately (an on-chip hit), it returns
-	// (completeAt, true) and will not call done. Otherwise it returns
-	// (0, false) and invokes done exactly once, later, from the event
-	// queue.
+	// (completeAt, true) and will not call done; completeAt must be below
+	// now + Window/Width (see SyncLimit). Otherwise it returns (0, false)
+	// and invokes done exactly once, later, from the event queue.
 	Load(now uint64, core int, line, pc uint64, done event.Func) (completeAt uint64, sync bool)
 	// Store issues a posted store for a line address.
 	Store(now uint64, core int, line, pc uint64)
@@ -40,10 +41,34 @@ type MemPort interface {
 // caches close to timestamp order.
 const quantum = 32
 
+// blockLen is the number of trace records a core draws from its Source at
+// a time. Each core owns its Source, so drawing ahead changes no record.
+const blockLen = 64
+
+// filler is a Source that can write a block of records in one call: the
+// records as many Next calls would give.
+type filler interface {
+	Fill(ops []trace.Op)
+}
+
+// SyncLimit is the bound a synchronous load's latency must stay below:
+// retiring Window instructions past a load takes at least Window/Width
+// cycles, so a load answered in less time has completed before it can be
+// the oldest load of a full window. That is why the core keeps such loads
+// out of its outstanding-load window and counts them only as MSHR slots.
+func SyncLimit(cfg config.Core) uint64 {
+	if cfg.Width <= 0 || cfg.Window <= 0 {
+		return 0
+	}
+	return uint64(cfg.Window / cfg.Width)
+}
+
+// pendingLoad is one async load in the outstanding-load window. A
+// completed load leaves the window at the next popCompleted, since core time
+// has reached its completion by then; it stays only behind a pending one.
 type pendingLoad struct {
-	idx        uint64 // instruction number of the load
-	completeAt uint64 // valid when !pending
-	pending    bool   // true while waiting for an async callback
+	idx     uint64 // instruction number of the load
+	pending bool   // true while waiting for its callback
 }
 
 // loadRing is a growable FIFO ring of pending loads. The window advances
@@ -92,61 +117,10 @@ func (r *loadRing) PopFront() {
 	r.popped++
 }
 
-// timeHeap is a reusable min-heap of completion times for loads the port
-// answered synchronously. Draining it as core time advances keeps the MSHR
-// occupancy count exact without rescanning the outstanding window.
-type timeHeap struct {
-	h []uint64 // completion times, min-heap order
-}
-
-func (t *timeHeap) push(v uint64) {
-	t.h = append(t.h, v)
-	i := len(t.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if t.h[p] <= v {
-			break
-		}
-		t.h[i] = t.h[p]
-		i = p
-	}
-	t.h[i] = v
-}
-
-// drainLE removes every entry <= limit and returns how many were removed.
-func (t *timeHeap) drainLE(limit uint64) int {
-	n := 0
-	for len(t.h) > 0 && t.h[0] <= limit {
-		last := len(t.h) - 1
-		v := t.h[last]
-		t.h = t.h[:last]
-		if last > 0 {
-			i := 0
-			for {
-				l := 2*i + 1
-				if l >= last {
-					break
-				}
-				if r := l + 1; r < last && t.h[r] < t.h[l] {
-					l = r
-				}
-				if t.h[l] >= v {
-					break
-				}
-				t.h[i] = t.h[l]
-				i = l
-			}
-			t.h[i] = v
-		}
-		n++
-	}
-	return n
-}
-
 // doneToken is a pooled load-completion callback: fn is the pre-bound
 // complete method, so issuing a load allocates nothing once the pool is
-// warm. Tokens are released when their callback fires (async loads) or
-// immediately (loads the port answered synchronously).
+// warm. A token leaves the freelist only when the port keeps it (an async
+// load) and returns when its callback fires.
 type doneToken struct {
 	c    *Core
 	idx  uint64
@@ -168,7 +142,6 @@ func (d *doneToken) complete(now uint64) {
 	}
 	c.putToken(d)
 	p.pending = false
-	p.completeAt = now
 	// run() will set c.time >= now, so this entry is no longer live; retire
 	// its MSHR slot immediately.
 	c.inflight--
@@ -188,17 +161,18 @@ type Core struct {
 	measBudget  uint64
 	budgetMark  uint64 // next retired count needing warm/finish handling
 	retired     uint64
-	time        uint64 // core-local time, >= q.Now() when running
-	outstanding loadRing
+	time        uint64   // core-local time, >= q.Now() when running
+	outstanding loadRing // async loads, in issue order
 	inflight    int      // live MSHR slots, kept exact incrementally
-	syncDone    timeHeap // completion times of in-flight sync loads
+	syncDone    []uint64 // completion times of in-flight sync loads, ascending
 
 	runFn  event.Func // pre-bound c.run, shared by every wakeup
 	tokens *doneToken // pooled load-completion callbacks
 	live   int        // tokens handed out and not yet recycled
 
-	op      trace.Op
-	opValid bool
+	filler   filler // src as a filler, or nil when it has only Next
+	block    [blockLen]trace.Op
+	blockPos int // next unread record in block; blockLen when spent
 
 	warmed   bool
 	MarkTime uint64 // cycle at which the core crossed its warm boundary
@@ -223,7 +197,10 @@ func New(id int, cfg config.Core, q *event.Queue, src trace.Source, port MemPort
 		ID: id, cfg: cfg, q: q, src: src, port: port,
 		warmBudget: warm, measBudget: meas,
 		onWarm: onWarm, onFinish: onFinish,
+		syncDone: make([]uint64, 0, max(cfg.MSHRs, 0)),
+		blockPos: blockLen,
 	}
+	c.filler, _ = src.(filler)
 	c.runFn = c.run
 	c.updateMark()
 	return c
@@ -260,17 +237,27 @@ func (c *Core) crossMark() {
 	c.updateMark()
 }
 
-func (c *Core) getToken(idx uint64) *doneToken {
-	c.live++
-	d := c.tokens
-	if d == nil {
-		d = &doneToken{c: c}
+// nextToken returns the completion token the next load hands the port: the
+// freelist head, grown by one when the list is empty. The token stays on the
+// list until takeToken, so a load the port answers synchronously costs no
+// pool traffic.
+func (c *Core) nextToken() *doneToken {
+	if c.tokens == nil {
+		d := &doneToken{c: c}
 		d.fn = d.complete
-	} else {
-		c.tokens = d.next
-		d.next = nil
+		c.tokens = d
 	}
+	return c.tokens
+}
+
+// takeToken removes the freelist head, the token nextToken returned, for
+// the async load issued as instruction idx.
+func (c *Core) takeToken(idx uint64) *doneToken {
+	d := c.tokens
+	c.tokens = d.next
+	d.next = nil
 	d.idx = idx
+	c.live++
 	return d
 }
 
@@ -289,16 +276,22 @@ func (c *Core) LiveTokens() int { return c.live }
 func (c *Core) Retired() uint64 { return c.retired }
 
 // CheckMSHRs verifies the core's miss-status accounting, for the watchdog's
-// -check mode: live MSHR slots must stay within [0, MSHRs] and every live
-// slot must correspond to an entry still in the outstanding-load window.
+// -check mode: live MSHR slots must stay within [0, MSHRs] and equal the
+// pending async loads in the window plus the sync completion times held.
 func (c *Core) CheckMSHRs() error {
 	if c.inflight < 0 || c.inflight > c.cfg.MSHRs {
 		return fault.Invariantf("cpu", "core %d: %d MSHRs in flight outside [0, %d]",
 			c.ID, c.inflight, c.cfg.MSHRs)
 	}
-	if c.inflight > c.outstanding.Len() {
-		return fault.Invariantf("cpu", "core %d: %d MSHRs in flight but only %d outstanding loads",
-			c.ID, c.inflight, c.outstanding.Len())
+	pending := 0
+	for i := 0; i < c.outstanding.Len(); i++ {
+		if c.outstanding.At(i).pending {
+			pending++
+		}
+	}
+	if c.inflight != pending+len(c.syncDone) {
+		return fault.Invariantf("cpu", "core %d: %d MSHRs in flight but %d pending loads and %d sync loads held",
+			c.ID, c.inflight, pending, len(c.syncDone))
 	}
 	return nil
 }
@@ -371,22 +364,24 @@ func (c *Core) run(now uint64) {
 		// until the relevant load completes (MSHRs free on completion
 		// regardless of order: async frees in the callback, sync frees as
 		// core time passes the completion time recorded in syncDone).
-		c.inflight -= c.syncDone.drainLE(c.time)
+		if len(c.syncDone) > 0 && c.syncDone[0] <= c.time {
+			c.drainSync()
+		}
 		if c.inflight >= c.cfg.MSHRs {
-			c.waitForLoads(true)
+			c.waitForMSHR()
 			return
 		}
 		if c.outstanding.Len() > 0 && c.retired-c.outstanding.At(0).idx >= uint64(c.cfg.Window) {
-			c.waitForLoads(false)
+			// popCompleted left a pending load at the head: its callback
+			// resumes the core.
 			return
 		}
 
-		if !c.opValid {
-			c.src.Next(&c.op)
-			c.opValid = true
+		if c.blockPos == blockLen {
+			c.refill()
 		}
-		op := c.op
-		c.opValid = false
+		op := &c.block[c.blockPos]
+		c.blockPos++
 
 		// Charge front-end throughput for the non-memory instructions plus
 		// the memory instruction itself.
@@ -397,22 +392,20 @@ func (c *Core) run(now uint64) {
 		if op.Store {
 			c.port.Store(c.time, c.ID, op.Line, op.PC)
 		} else {
-			idx := c.retired
-			tok := c.getToken(idx)
-			// The entry's absolute position is known before the push: done
-			// fires strictly later (MemPort contract), after the push below.
-			tok.pos = c.outstanding.popped + uint64(c.outstanding.n)
-			completeAt, sync := c.port.Load(c.time, c.ID, op.Line, op.PC, tok.fn)
+			completeAt, sync := c.port.Load(c.time, c.ID, op.Line, op.PC, c.nextToken().fn)
 			if sync {
-				// The port answered without keeping the callback.
-				c.putToken(tok)
+				// The port answered without keeping the callback. The load
+				// holds an MSHR until completeAt but never enters the
+				// window: it completes before it could stall it (SyncLimit).
 				if completeAt > c.time {
-					c.outstanding.Push(pendingLoad{idx: idx, completeAt: completeAt})
-					c.inflight++
-					c.syncDone.push(completeAt)
+					c.addSync(completeAt)
 				}
 			} else {
-				c.outstanding.Push(pendingLoad{idx: idx, pending: true})
+				// done fires strictly later (MemPort contract), so the
+				// token learns its load and ring position after Load.
+				tok := c.takeToken(c.retired)
+				tok.pos = c.outstanding.popped + uint64(c.outstanding.n)
+				c.outstanding.Push(pendingLoad{idx: c.retired, pending: true})
 				c.inflight++
 			}
 		}
@@ -425,6 +418,44 @@ func (c *Core) run(now uint64) {
 	}
 }
 
+// refill draws the next block of trace records: through Fill when the
+// Source has one, else one Next call per record.
+func (c *Core) refill() {
+	if c.filler != nil {
+		c.filler.Fill(c.block[:])
+	} else {
+		for i := range c.block {
+			c.src.Next(&c.block[i])
+		}
+	}
+	c.blockPos = 0
+}
+
+// addSync holds an MSHR slot for a sync load completing at t, keeping
+// syncDone ascending. The slice holds at most MSHRs entries (each is a live
+// slot), so its first allocation is its last.
+func (c *Core) addSync(t uint64) {
+	s := append(c.syncDone, t)
+	i := len(s) - 1
+	for ; i > 0 && s[i-1] > t; i-- {
+		s[i] = s[i-1]
+	}
+	s[i] = t
+	c.syncDone = s
+	c.inflight++
+}
+
+// drainSync frees the slots of the sync loads complete by core time. The
+// caller has checked that the head is due.
+func (c *Core) drainSync() {
+	n := 1
+	for n < len(c.syncDone) && c.syncDone[n] <= c.time {
+		n++
+	}
+	c.syncDone = c.syncDone[:copy(c.syncDone, c.syncDone[n:])]
+	c.inflight -= n
+}
+
 // endRun clears the reentrancy guard when run unwinds. A method value
 // deferred directly stays off the heap; the equivalent closure allocated
 // once per run invocation.
@@ -432,42 +463,21 @@ func (c *Core) endRun() { c.running = false }
 
 // popCompleted releases finished loads in program order.
 func (c *Core) popCompleted() {
-	for c.outstanding.Len() > 0 {
-		p := c.outstanding.At(0)
-		if p.pending || p.completeAt > c.time {
-			break
-		}
+	for c.outstanding.Len() > 0 && !c.outstanding.At(0).pending {
 		c.outstanding.PopFront()
 	}
 }
 
-// waitForLoads schedules the core's resumption: if any blocking entry has a
-// known completion time it wakes then; async completions re-invoke run via
-// their callbacks. anyLoad selects between MSHR stalls (any completion
-// helps) and window stalls (only the oldest helps).
-func (c *Core) waitForLoads(anyLoad bool) {
-	stallFrom := c.time
-	var wake uint64
-	haveWake := false
-	if anyLoad {
-		// The caller just drained syncDone to c.time, so the heap holds
-		// exactly the completion times of non-pending outstanding loads that
-		// are still in the future; its top is the earliest useful wakeup. No
-		// window scan needed.
-		if len(c.syncDone.h) > 0 {
-			wake, haveWake = c.syncDone.h[0], true
-		}
-	} else if c.outstanding.Len() > 0 {
-		p := c.outstanding.At(0)
-		if !p.pending {
-			wake, haveWake = p.completeAt, true
-		}
-	}
-	if haveWake {
-		c.StallCycles += wake - stallFrom
+// waitForMSHR schedules the core's resumption from a full MSHR file. The
+// caller just drained syncDone to c.time, so its head, if any, is the
+// earliest slot to free; otherwise every slot is a pending async load, whose
+// callback resumes the core.
+func (c *Core) waitForMSHR() {
+	if len(c.syncDone) > 0 {
+		wake := c.syncDone[0]
+		c.StallCycles += wake - c.time
 		c.q.At(wake, c.runFn)
 	}
-	// Otherwise a pending callback will resume us.
 }
 
 func (c *Core) finish() {

@@ -111,6 +111,9 @@ func newSim(cfg config.System, wl trace.Workload, warm, meas uint64, q *event.Qu
 	if len(wl.Sources) == 0 {
 		return nil, fmt.Errorf("hier: workload %q has no sources", wl.Name)
 	}
+	if err := checkHitLatencies(cfg); err != nil {
+		return nil, err
+	}
 	q.Reset()
 	s := &Sim{Cfg: cfg, Workload: wl, Q: q, warm: warm, meas: meas}
 	cores := len(wl.Sources)
@@ -131,6 +134,36 @@ func newSim(cfg config.System, wl trace.Workload, warm, meas uint64, q *event.Qu
 	}
 	s.prewarm()
 	return s, nil
+}
+
+// HitLatencyError rejects a config with an on-chip hit latency at or above
+// cpu.SyncLimit (Core.Window/Core.Width). The cores keep on-chip hits out of
+// their outstanding-load window, which is exact only when every such hit
+// completes before it could be the oldest load of a full window.
+type HitLatencyError struct {
+	Level   string // "L1", "L2" or "L3"
+	Latency uint64 // the level's hit latency, in cycles
+	Limit   uint64 // cpu.SyncLimit of the core config
+}
+
+func (e *HitLatencyError) Error() string {
+	return fmt.Sprintf("hier: %s hit latency %d is not below Core.Window/Core.Width = %d",
+		e.Level, e.Latency, e.Limit)
+}
+
+// checkHitLatencies returns a *HitLatencyError for the first cache level
+// whose hit latency breaks cpu.SyncLimit.
+func checkHitLatencies(cfg config.System) error {
+	limit := cpu.SyncLimit(cfg.Core)
+	for _, l := range []struct {
+		level string
+		c     config.Cache
+	}{{"L1", cfg.L1}, {"L2", cfg.L2}, {"L3", cfg.L3}} {
+		if l.c.Latency >= limit {
+			return &HitLatencyError{Level: l.level, Latency: l.c.Latency, Limit: limit}
+		}
+	}
+	return nil
 }
 
 // prewarm functionally installs each workload's steady-state residency into

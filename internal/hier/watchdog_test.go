@@ -7,6 +7,7 @@ import (
 
 	"bear/internal/config"
 	"bear/internal/core"
+	"bear/internal/cpu"
 	"bear/internal/dramcache"
 	"bear/internal/event"
 	"bear/internal/fault"
@@ -174,6 +175,38 @@ func TestCheckPassesAcrossDesigns(t *testing.T) {
 		sim.Watchdog = Watchdog{Check: true, CheckEvery: 256}
 		if _, err := sim.Run(); err != nil {
 			t.Errorf("%v: healthy run tripped -check: %v", d, err)
+		}
+	}
+}
+
+// TestNewSimRejectsSlowHits: a hit latency at cpu.SyncLimit breaks the
+// cores' assumption that an on-chip hit completes before it could be the
+// oldest load of a full window, so NewSim refuses it with a typed error;
+// one cycle less is accepted.
+func TestNewSimRejectsSlowHits(t *testing.T) {
+	for _, tc := range []struct {
+		level string
+		lat   func(*config.System) *uint64
+	}{
+		{"L1", func(c *config.System) *uint64 { return &c.L1.Latency }},
+		{"L2", func(c *config.System) *uint64 { return &c.L2.Latency }},
+		{"L3", func(c *config.System) *uint64 { return &c.L3.Latency }},
+	} {
+		cfg := config.Default(1024)
+		limit := cpu.SyncLimit(cfg.Core)
+		wl, err := trace.Rate("mcf", cfg.Core.Count, 1024, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*tc.lat(&cfg) = limit - 1
+		if _, err := NewSim(cfg, wl, 10, 10); err != nil {
+			t.Fatalf("%s latency %d: %v", tc.level, limit-1, err)
+		}
+		*tc.lat(&cfg) = limit
+		_, err = NewSim(cfg, wl, 10, 10)
+		var hl *HitLatencyError
+		if !errors.As(err, &hl) || *hl != (HitLatencyError{Level: tc.level, Latency: limit, Limit: limit}) {
+			t.Fatalf("%s latency %d: NewSim = %v, want a HitLatencyError", tc.level, limit, err)
 		}
 	}
 }

@@ -295,11 +295,70 @@ func (p *Program) Run(cfg Config) []Diagnostic {
 	return diags
 }
 
-// collectNolint gathers //bear:nolint comments. A comment suppresses the
-// named rules (comma-separated) on its own line and the line below, so it
-// can trail the flagged statement or sit on its own line above it:
+// Nolint is one parsed //bear:nolint comment.
+type Nolint struct {
+	Rules  []string // the names before the rationale, in order; none is empty
+	Reason string   // the rationale after the first em or double dash, trimmed
+}
+
+const nolintMarker = "//bear:nolint"
+
+// ParseNolint parses the text of one comment as go/ast holds it ("//"
+// included); ok reports whether it is a //bear:nolint marker. Everything
+// after the first em dash or double dash is the rationale; the names before
+// it are separated by commas, spaces and tabs:
 //
 //	//bear:nolint maprange — keys feed an order-insensitive set
+//
+// A marker glued to more text (//bear:nolintx) is still a marker, and the
+// glued word ("nolintx") is its first name. That name is no rule, so the
+// slip is reported as an unknown rule instead of passing unseen.
+func ParseNolint(text string) (n Nolint, ok bool) {
+	body, ok := strings.CutPrefix(text, nolintMarker)
+	if !ok {
+		return Nolint{}, false
+	}
+	if body != "" && body[0] != ' ' && body[0] != '\t' {
+		body = text[len("//bear:"):]
+	}
+	names := body
+	if i, sep := rationale(body); i >= 0 {
+		names, n.Reason = body[:i], strings.TrimSpace(body[i+len(sep):])
+	}
+	n.Rules = strings.FieldsFunc(names, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' })
+	return n, true
+}
+
+// rationale returns the index and text of the first rationale separator in
+// s, or -1.
+func rationale(s string) (int, string) {
+	at, sep := -1, ""
+	for _, x := range []string{"—", "--"} {
+		if i := strings.Index(s, x); i >= 0 && (at < 0 || i < at) {
+			at, sep = i, x
+		}
+	}
+	return at, sep
+}
+
+// String renders the suppression as simlint -nolint-report lists it: the
+// names joined by commas, then " — " and the rationale if there is one.
+// ParseNolint of the marker, a space and this text gives n back.
+func (n Nolint) String() string {
+	s := strings.Join(n.Rules, ",")
+	switch {
+	case n.Reason == "":
+		return s
+	case s == "":
+		return "— " + n.Reason
+	default:
+		return s + " — " + n.Reason
+	}
+}
+
+// collectNolint gathers //bear:nolint comments. A comment suppresses the
+// rules it names on its own line and the line below, so it can trail the
+// flagged statement or sit on its own line above it.
 //
 // A comment naming no rule, or a name that is not a rule, comes back as a
 // diagnostic: it suppresses nothing, and a stale one would otherwise sit in
@@ -312,19 +371,12 @@ func collectNolint(fset *token.FileSet, files []*ast.File) (collectT, []Diagnost
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//bear:nolint")
+				n, ok := ParseNolint(c.Text)
 				if !ok {
 					continue
 				}
-				// Everything after an em/double dash is rationale.
-				for _, sep := range []string{"—", "--"} {
-					if i := strings.Index(text, sep); i >= 0 {
-						text = text[:i]
-					}
-				}
 				pos := fset.Position(c.Pos())
-				rules := strings.FieldsFunc(text, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' })
-				if len(rules) == 0 {
+				if len(n.Rules) == 0 {
 					bad = append(bad, Diagnostic{Pos: pos, Rule: RuleNolint, Message: "//bear:nolint names no rule"})
 				}
 				byLine := out[pos.Filename]
@@ -332,7 +384,7 @@ func collectNolint(fset *token.FileSet, files []*ast.File) (collectT, []Diagnost
 					byLine = map[int]map[string]bool{}
 					out[pos.Filename] = byLine
 				}
-				for _, r := range rules {
+				for _, r := range n.Rules {
 					if !knownRules[r] {
 						bad = append(bad, Diagnostic{Pos: pos, Rule: RuleNolint,
 							Message: fmt.Sprintf("//bear:nolint names %q, which is not a rule", r)})

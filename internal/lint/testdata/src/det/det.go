@@ -125,3 +125,13 @@ func staleSuppression(m map[string]float64) float64 {
 func bareSuppression() {
 	_ = 0 //bear:nolint — no rule named // want "nolint: //bear:nolint names no rule"
 }
+
+// gluedSuppression misses the space after the marker: the glued word is
+// reported as a name that is no rule, and it suppresses nothing.
+func gluedSuppression(m map[string]float64) float64 {
+	sum := 0.0
+	for _, v := range m {
+		sum += v //bear:nolintmaprange — glued // want "nolint: //bear:nolint names .nolintmaprange., which is not a rule" // want "maprange: map iteration accumulates into sum"
+	}
+	return sum
+}

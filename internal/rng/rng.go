@@ -41,12 +41,9 @@ func New(seed uint64) *Source {
 
 // Uint64 returns the next value in the sequence.
 func (s *Source) Uint64() uint64 {
-	x := s.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	s.state = x
-	return x * 0x2545f4914f6cdd1d
+	var v uint64
+	s.state, v = Step(s.state)
+	return v
 }
 
 // Uint64n returns a value uniformly distributed in [0, n). n must be > 0.
@@ -54,10 +51,7 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with n == 0")
 	}
-	// Multiply-shift reduction; bias is negligible for simulation purposes
-	// and the method is branch-free and fast.
-	hi, _ := mul64(s.Uint64(), n)
-	return hi
+	return Below(s.Uint64(), n)
 }
 
 // Intn returns a value uniformly distributed in [0, n). n must be > 0.
@@ -67,7 +61,36 @@ func (s *Source) Intn(n int) int {
 
 // Float64 returns a value uniformly distributed in [0, 1).
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return Unit(s.Uint64())
+}
+
+// State returns the generator's state word, for a loop that draws through
+// Step.
+func (s *Source) State() uint64 { return s.state }
+
+// Step is the generator's transition on a bare state word: it returns the
+// state after one draw and the value Uint64 would have returned from state
+// x. A loop that keeps the state in a local and draws through Step lets the
+// compiler hold it in a register, where a *Source's state makes a memory
+// round trip per draw; the draws are the same.
+func Step(x uint64) (next, v uint64) {
+	x ^= x >> 12
+	x ^= x << 25
+	x ^= x >> 27
+	return x, x * 0x2545f4914f6cdd1d
+}
+
+// Below maps a draw v to [0, n) as Uint64n does. Multiply-shift reduction:
+// bias is negligible for simulation purposes and the method is branch-free
+// and fast.
+func Below(v, n uint64) uint64 {
+	hi, _ := mul64(v, n)
+	return hi
+}
+
+// Unit maps a draw v to [0, 1) as Float64 does.
+func Unit(v uint64) float64 {
+	return float64(v>>11) / (1 << 53)
 }
 
 // Bool returns true with probability p.

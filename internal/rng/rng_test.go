@@ -153,3 +153,34 @@ func TestMul64(t *testing.T) {
 		check(r.Uint64(), r.Uint64())
 	}
 }
+
+// TestStepMatchesSource: a state drawn through Step, Below and Unit yields
+// the draws of the Source it came from.
+func TestStepMatchesSource(t *testing.T) {
+	s := New(42)
+	x := New(42).State()
+	var v uint64
+	for i := 0; i < 1000; i++ {
+		switch i % 3 {
+		case 0:
+			want := s.Uint64()
+			if x, v = Step(x); v != want {
+				t.Fatalf("draw %d: Step gave %#x, Uint64 %#x", i, v, want)
+			}
+		case 1:
+			n := uint64(i)
+			want := s.Uint64n(n)
+			if x, v = Step(x); Below(v, n) != want {
+				t.Fatalf("draw %d: Below gave %d, Uint64n %d", i, Below(v, n), want)
+			}
+		case 2:
+			want := s.Float64()
+			if x, v = Step(x); Unit(v) != want {
+				t.Fatalf("draw %d: Unit gave %v, Float64 %v", i, Unit(v), want)
+			}
+		}
+	}
+	if x != s.State() {
+		t.Fatalf("states diverged: %#x vs %#x", x, s.State())
+	}
+}

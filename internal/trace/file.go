@@ -90,6 +90,19 @@ func (f *FileTrace) Next(op *Op) {
 	}
 }
 
+// Fill writes the next len(ops) records into ops, wrapping at the end of
+// the recording as Next does.
+func (f *FileTrace) Fill(ops []Op) {
+	for len(ops) > 0 {
+		n := copy(ops, f.ops[f.pos:])
+		ops = ops[n:]
+		f.pos += n
+		if f.pos == len(f.ops) {
+			f.pos = 0
+		}
+	}
+}
+
 // Reset rewinds the replay cursor.
 func (f *FileTrace) Reset() { f.pos = 0 }
 

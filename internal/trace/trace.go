@@ -141,7 +141,7 @@ const coreRegionStride = 2654435761
 // Gen is the synthetic benchmark generator (one per core).
 type Gen struct {
 	b     Benchmark
-	r     *rng.Source
+	rs    uint64 // rng state, advanced by rng.Step
 	scale int
 
 	base      uint64 // first line of this core's region
@@ -179,7 +179,7 @@ func NewGen(b Benchmark, core int, scale int, seed uint64) *Gen {
 	}
 	g := &Gen{
 		b:         b,
-		r:         rng.New(seed ^ (uint64(core)+1)*0x9e3779b97f4a7c15),
+		rs:        rng.New(seed ^ (uint64(core)+1)*0x9e3779b97f4a7c15).State(),
 		scale:     scale,
 		base:      uint64(core) * coreRegionStride,
 		footLines: perCoreLines,
@@ -240,57 +240,100 @@ const (
 // per-line property (programs write particular structures), so the dirty
 // fraction of cache-resident data tracks the benchmark's store ratio
 // instead of saturating towards 1 under repeated accesses.
-func (g *Gen) storeLine(line uint64) bool {
+func storeLine(line uint64, storeFrac float64) bool {
 	x := line * 0x9e3779b97f4a7c15
 	x ^= x >> 29
-	return float64(x&0xFFFF)/0x10000 < g.b.StoreFrac
+	return float64(x&0xFFFF)/0x10000 < storeFrac
 }
 
-// Next fills op with the next trace record.
+// Next fills op with the next trace record: a one-record Fill.
 func (g *Gen) Next(op *Op) {
-	// Non-memory gap: APKI memory ops per 1000 instructions.
-	g.nonMemQ += g.gapPerOp
-	nm := uint32(g.nonMemQ)
-	g.nonMemQ -= float64(nm)
-	op.NonMem = nm
-
-	if g.recentLen > 0 && !g.r.Bool(g.missFrac) {
-		// Near reuse: hits the L1/L2 most of the time.
-		op.Line = g.recent[g.r.Intn(g.recentLen)]
-		op.PC = pcNear + uint64(g.r.Intn(8))*4
-		op.Store = g.storeLine(op.Line)
-		return
-	}
-
-	// Far access: chooses among hot / sequential / random components.
-	x := g.r.Float64()
-	switch {
-	case x < g.b.HotFrac && g.hotLines > 0:
-		op.Line = g.hotBase + g.r.Uint64n(g.hotLines)
-		op.PC = pcHot + uint64(g.r.Intn(8))*4
-	case x < g.b.HotFrac+g.b.SeqFrac:
-		op.Line = g.seqCursor
-		g.seqCursor++
-		if g.seqCursor >= g.base+g.footLines {
-			g.seqCursor = g.base
-		}
-		op.PC = pcSeq + uint64(g.r.Intn(8))*4
-	default:
-		op.Line = g.base + g.r.Uint64n(g.footLines)
-		op.PC = pcRand + uint64(g.r.Intn(8))*4
-	}
-	op.Store = g.storeLine(op.Line)
-	g.remember(op.Line)
+	var one [1]Op
+	g.Fill(one[:])
+	*op = one[0]
 }
 
-func (g *Gen) remember(line uint64) {
-	if g.recentLen < len(g.recent) {
-		g.recent[g.recentLen] = line
-		g.recentLen++
-		return
+// Fill writes the next len(ops) records into ops: the records len(ops)
+// calls to Next would give. The rng state, the non-memory gap carry, the
+// sequential cursor and the recent-line ring's indices live in locals for
+// the whole block and are written back once at the end; the rng state is a
+// bare word drawn through rng.Step, so it can stay in a register.
+func (g *Gen) Fill(ops []Op) {
+	st := g.rs
+	nonMemQ := g.nonMemQ
+	seq := g.seqCursor
+	recent := &g.recent
+	recentLen, recentPos := g.recentLen, g.recentPos
+	var (
+		gap       = g.gapPerOp
+		missFrac  = g.missFrac
+		hotFrac   = g.b.HotFrac
+		hotSeq    = g.b.HotFrac + g.b.SeqFrac
+		storeFrac = g.b.StoreFrac
+		base      = g.base
+		footLines = g.footLines
+		hotBase   = g.hotBase
+		hotLines  = g.hotLines
+	)
+	var v uint64
+	for i := range ops {
+		op := &ops[i]
+		// Non-memory gap: APKI memory ops per 1000 instructions.
+		nonMemQ += gap
+		nm := uint32(nonMemQ)
+		nonMemQ -= float64(nm)
+		op.NonMem = nm
+
+		far := true
+		if recentLen > 0 {
+			st, v = rng.Step(st)
+			far = rng.Unit(v) < missFrac
+		}
+		if !far {
+			// Near reuse: hits the L1/L2 most of the time.
+			st, v = rng.Step(st)
+			op.Line = recent[rng.Below(v, uint64(recentLen))]
+			st, v = rng.Step(st)
+			op.PC = pcNear + rng.Below(v, 8)*4
+			op.Store = storeLine(op.Line, storeFrac)
+			continue
+		}
+
+		// Far access: chooses among hot / sequential / random components.
+		st, v = rng.Step(st)
+		x := rng.Unit(v)
+		switch {
+		case x < hotFrac && hotLines > 0:
+			st, v = rng.Step(st)
+			op.Line = hotBase + rng.Below(v, hotLines)
+			op.PC = pcHot
+		case x < hotSeq:
+			op.Line = seq
+			seq++
+			if seq >= base+footLines {
+				seq = base
+			}
+			op.PC = pcSeq
+		default:
+			st, v = rng.Step(st)
+			op.Line = base + rng.Below(v, footLines)
+			op.PC = pcRand
+		}
+		st, v = rng.Step(st)
+		op.PC += rng.Below(v, 8) * 4
+		op.Store = storeLine(op.Line, storeFrac)
+		if recentLen < len(recent) {
+			recent[recentLen] = op.Line
+			recentLen++
+		} else {
+			recent[recentPos] = op.Line
+			recentPos = (recentPos + 1) % len(recent)
+		}
 	}
-	g.recent[g.recentPos] = line
-	g.recentPos = (g.recentPos + 1) % len(g.recent)
+	g.rs = st
+	g.nonMemQ = nonMemQ
+	g.seqCursor = seq
+	g.recentLen, g.recentPos = recentLen, recentPos
 }
 
 // Rate builds the rate-mode workload for benchmark name: all cores run

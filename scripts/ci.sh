@@ -80,6 +80,12 @@ go test -run '^$' -fuzz FuzzTADSlots -fuzztime 10s ./internal/dramcache
 # leave the slots exactly as the per-line round-robin Install does after the
 # same code reservation, and every set decoding as the plain Install leaves it.
 go test -run '^$' -fuzz FuzzPrewarmRuns -fuzztime 10s ./internal/dramcache
+# And for the //bear:nolint grammar simlint and its -nolint-report share:
+# any comment must parse without a panic, no name may hold a rationale
+# separator, the report line must re-parse to the same suppression, and the
+# suppression set must be the parse's known rules. Crashers land in
+# internal/lint/testdata/fuzz.
+go test -run '^$' -fuzz FuzzNolint -fuzztime 10s ./internal/lint
 
 # perfbench is its own module (perfbench/go.mod), so `./...` and simlint
 # stop at it. Vet and test it here so the benchmark's output checks keep
