@@ -7,8 +7,9 @@
 // Alloy-cache baseline with the MAP-I predictor, BEAR (Bandwidth-Aware
 // Bypass + DRAM Cache Presence + Neighboring Tag Cache), the idealised
 // Bandwidth-Optimized cache, Loh-Hill, Mostly-Clean, inclusive Alloy,
-// Tags-In-SRAM and Sector Cache — over a banked, row-buffered DRAM timing
-// model with USIMM-style scheduling.
+// Tags-In-SRAM and Sector Cache — plus the page-grained Banshee and TicToc
+// designs as cross-paper comparison points, over a banked, row-buffered
+// DRAM timing model with USIMM-style scheduling.
 //
 // Quick start:
 //
@@ -233,7 +234,10 @@ type Result struct {
 	MemReadBytes, MemWriteBytes uint64
 }
 
-func resultFrom(r *stats.Run) *Result {
+// ResultOf derives a run's public Result from its raw statistics. It is a
+// pure function, so a driver that stores the stats.Run (as exp.Store does)
+// derives the same Result from a restored run as from a fresh one.
+func ResultOf(r *stats.Run) *Result {
 	l4 := &r.L4
 	res := &Result{
 		Design:       r.Design,
@@ -296,7 +300,7 @@ func (c Config) run(wl trace.Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resultFrom(r), nil
+	return ResultOf(r), nil
 }
 
 // RunRate simulates the rate-mode workload of the named benchmark (all
@@ -336,17 +340,6 @@ func MixComposition(n, cores int) []string {
 // weighted-speedup denominators of Equation 2).
 func RunSingle(cfg Config, benchmark string) (*Result, error) {
 	wl, err := trace.Single(benchmark, cfg.Cores, cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.run(wl)
-}
-
-// RunTraceFiles simulates a workload replayed from recorded trace files
-// (one file per core; see cmd/beartrace and the trace-file format in
-// internal/trace). Footprints in the files must match cfg.Scale.
-func RunTraceFiles(cfg Config, name string, paths []string) (*Result, error) {
-	wl, err := trace.FromFiles(name, paths)
 	if err != nil {
 		return nil, err
 	}

@@ -139,7 +139,7 @@ func cloneRun(r *stats.Run) *stats.Run {
 // TestStatsCensus holds every leaf field of stats.Run to the contract that
 // a collected counter reaches a result. Written: some design leaves it
 // non-zero (any element, for an array or slice). Consumed: perturbing it in
-// a copy of some design's run changes the *Result that resultFrom builds.
+// a copy of some design's run changes the *Result that ResultOf builds.
 // A field that fails either is dead weight on the hot path or a statistic
 // the public API silently drops; carry it into Result or delete it with
 // its writers.
@@ -152,18 +152,18 @@ func TestStatsCensus(t *testing.T) {
 			for _, e := range orig {
 				written = written || !e.IsZero()
 			}
-			base := resultFrom(cr.run)
+			base := ResultOf(cr.run)
 			for i := 0; i < len(orig) && !consumed; i++ {
 				cp := cloneRun(cr.run)
 				perturb(t, lf.name, lf.elems(cp)[i])
-				consumed = !reflect.DeepEqual(resultFrom(cp), base)
+				consumed = !reflect.DeepEqual(ResultOf(cp), base)
 			}
 		}
 		if !written {
 			t.Errorf("stats.Run.%s is never written: zero in every design's run", lf.name)
 		}
 		if !consumed {
-			t.Errorf("stats.Run.%s is never consumed: perturbing it leaves resultFrom's Result unchanged", lf.name)
+			t.Errorf("stats.Run.%s is never consumed: perturbing it leaves ResultOf's Result unchanged", lf.name)
 		}
 	}
 }

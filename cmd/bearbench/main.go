@@ -37,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -144,7 +143,7 @@ func main() {
 		// closes. Stdout belongs to the protocol, so progress logging (-v)
 		// stays on stderr; units run serially — the server owns parallelism.
 		runner.Parallel = 1
-		err := serve.WorkerLoop(runner, p.Fingerprint(buildFingerprint()), os.Stdin, os.Stdout)
+		err := serve.WorkerLoop(runner, p.Fingerprint(exp.BuildFingerprint()), os.Stdin, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bearbench: worker:", err)
 			os.Exit(1)
@@ -163,7 +162,7 @@ func main() {
 		runner.Interrupt()
 	}()
 	if *resume != "" {
-		store, err := exp.OpenStore(*resume, p.Fingerprint(buildFingerprint()))
+		store, err := exp.OpenStore(*resume, p.Fingerprint(exp.BuildFingerprint()))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bearbench:", err)
 			os.Exit(1)
@@ -213,30 +212,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bearbench: %d experiment(s) failed: %s\n", len(failedExps), strings.Join(failedExps, ", "))
 		os.Exit(1)
 	}
-}
-
-// buildFingerprint identifies the simulator build for the result store:
-// results cached by a different code version must not be trusted. Binaries
-// built inside the git checkout carry the VCS revision; anything else
-// (e.g. `go run` of a modified tree without VCS stamping) degrades to a
-// shared "dev" fingerprint.
-func buildFingerprint() string {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		var rev, modified string
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				modified = s.Value
-			}
-		}
-		if rev != "" {
-			if modified == "true" {
-				return rev + "+dirty"
-			}
-			return rev
-		}
-	}
-	return "dev"
 }

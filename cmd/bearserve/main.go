@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"strconv"
 	"syscall"
 	"time"
@@ -108,7 +107,7 @@ func main() {
 		workerArgs = append(workerArgs, "-faultplan", *workerFaultplan)
 	}
 
-	fingerprint := p.Fingerprint(buildFingerprint())
+	fingerprint := p.Fingerprint(exp.BuildFingerprint())
 	store, err := exp.OpenStore(*storeDir, fingerprint)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bearserve:", err)
@@ -181,28 +180,4 @@ func siblingBearbench() string {
 		}
 	}
 	return "bearbench"
-}
-
-// buildFingerprint mirrors bearbench's build identity (see cmd/bearbench):
-// the two binaries must derive identical fingerprints when built from the
-// same tree, or the handshake refuses every worker.
-func buildFingerprint() string {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		var rev, modified string
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				modified = s.Value
-			}
-		}
-		if rev != "" {
-			if modified == "true" {
-				return rev + "+dirty"
-			}
-			return rev
-		}
-	}
-	return "dev"
 }

@@ -14,12 +14,14 @@
 //	bearsim -workload MIX3 -design Alloy
 //	bearsim -workload mcf,lbm,libq -design Alloy,BEAR -parallel 8
 //
-// -resume DIR keeps an on-disk result store (checksummed, atomically
-// written); completed units are restored instead of re-simulated on the
-// next run. SIGINT/SIGTERM interrupt a sweep cleanly: in-flight units
-// finish and (with -resume) persist, queued units never start, completed
-// results print, and the exit code is 3 — "interrupted but checkpointed"
-// — so re-running the same command resumes where the sweep stopped.
+// Each design × workload is one exp.UnitSpec run by exp.Runner, the sweep
+// engine bearbench and bearserve share. -resume DIR attaches an exp.Store
+// (checksummed, atomically written); completed units are restored instead
+// of re-simulated on the next run. SIGINT/SIGTERM interrupt a sweep
+// cleanly: in-flight units finish and (with -resume) persist, queued units
+// never start, completed results print, and the exit code is 3 —
+// "interrupted but checkpointed" — so re-running the same command resumes
+// where the sweep stopped.
 package main
 
 import (
@@ -30,27 +32,17 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
-	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 
 	"bear"
+	"bear/internal/exp"
 )
 
 // exitInterrupted distinguishes an operator interrupt with checkpointed
 // progress from a failed sweep (1) or a usage error (2).
 const exitInterrupted = 3
-
-var designByName = map[string]bear.Design{
-	"nol4": bear.NoL4, "alloy": bear.Alloy, "bear": bear.BEAR,
-	"bwopt": bear.BWOpt, "bw-opt": bear.BWOpt, "lh": bear.LohHill,
-	"lohhill": bear.LohHill, "mc": bear.MostlyClean, "incl-alloy": bear.InclAlloy,
-	"incl": bear.InclAlloy, "tis": bear.TagsInSRAM, "sc": bear.SectorCache,
-	"banshee": bear.Banshee, "tictoc": bear.TicToc,
-}
 
 func main() {
 	var (
@@ -97,155 +89,89 @@ func main() {
 		}()
 	}
 
-	cfg := bear.DefaultConfig()
-	cfg.Scale = *scale
-	cfg.WarmInstr = *warm
-	cfg.MeasInstr = *meas
-	cfg.Seed = *seed
-	cfg.L4Channels = *channels
-	cfg.L4Banks = *banks
-	cfg.CapacityMB = *capMB
-	cfg.Check = *check
-
-	if *traces != "" {
-		paths, err := filepath.Glob(*traces)
-		var res *bear.Result
-		if err == nil {
-			d, derr := oneDesign(*design)
-			if derr != nil {
-				fail(derr)
-			}
-			cfg.Design = d
-			res, err = bear.RunTraceFiles(cfg, *traces, paths)
-		}
-		if err != nil {
-			fail(err)
-		}
-		emit([]*bear.Result{res}, *asJSON)
-		return
-	}
-
-	// The sweep: every workload under every design, executed by a bounded
-	// worker pool. Each simulation is independent and deterministic, so
-	// results land in their preassigned slots and printing order never
-	// depends on completion order.
-	type job struct {
-		cfg      bear.Config
-		workload string
-	}
-	var jobs []job
-	for _, d := range strings.Split(*design, ",") {
-		dv, err := oneDesign(d)
-		if err != nil {
-			fail(err)
-		}
-		c := cfg
-		c.Design = dv
-		for _, w := range strings.Split(*workload, ",") {
-			w = strings.TrimSpace(w)
-			if w == "" {
-				continue
-			}
-			jobs = append(jobs, job{cfg: c, workload: w})
-		}
-	}
-	if len(jobs) == 0 {
-		fail(fmt.Errorf("no workloads given"))
-	}
-
-	var store *resultStore
-	if *resume != "" {
-		st, err := openResultStore(*resume)
-		if err != nil {
-			fail(err)
-		}
-		store = st
+	p := exp.Params{Scale: *scale, Warm: *warm, Meas: *meas, Seed: *seed}
+	p.Watchdog.Check = *check
+	runner := exp.NewRunner(p)
+	runner.Parallel = *parallel
+	unit := func(design, workload string) exp.UnitSpec {
+		return exp.UnitSpec{Design: design, Workload: workload,
+			L4Channels: *channels, L4Banks: *banks, CapacityMB: *capMB}
 	}
 
 	// Interrupt handling: the first SIGINT/SIGTERM drains the sweep —
 	// units already running finish (and persist to -resume), units still
 	// queued never start — and the run exits with code 3.
-	var interrupted atomic.Bool
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
 		<-sig
 		fmt.Fprintln(os.Stderr, "bearsim: interrupted — finishing in-flight units, checkpointing completed ones")
-		interrupted.Store(true)
+		runner.Interrupt()
 	}()
 
-	workers := *parallel
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([]*bear.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	skipped := make([]bool, len(jobs))
-	sem := make(chan struct{}, workers)
-	done := make(chan int, len(jobs))
-	for i, j := range jobs {
-		i, j := i, j
-		go func() {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if interrupted.Load() {
-				skipped[i] = true
-				done <- i
-				return
-			}
-			// Fault isolation: a panic in one unit fails that unit, not
-			// the sweep. The remaining units still run and print.
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+	// The sweep: every workload under every design. Results are collected
+	// in sweep order, so printing never depends on completion order.
+	var futures []exp.Future
+	if *traces != "" {
+		// A trace replay is one unit and is never stored: the files'
+		// contents are not part of a store key.
+		paths, err := filepath.Glob(*traces)
+		if err != nil {
+			fail(err)
+		}
+		f, err := runner.FilesAsync(unit(*design, *traces), paths)
+		if err != nil {
+			fail(err)
+		}
+		futures = append(futures, f)
+	} else {
+		var units []exp.UnitSpec
+		for _, d := range strings.Split(*design, ",") {
+			for _, w := range strings.Split(*workload, ",") {
+				if w = strings.TrimSpace(w); w == "" {
+					continue
 				}
-				done <- i
-			}()
-			key := unitKey(j.cfg, j.workload)
-			if store != nil {
-				if res, ok := store.load(key); ok {
-					results[i] = res
-					return
+				u := unit(d, w)
+				if err := u.Validate(); err != nil {
+					fail(err)
 				}
+				units = append(units, u)
 			}
-			if n, isMix := mixIndex(j.workload); isMix {
-				results[i], errs[i] = bear.RunMix(j.cfg, n)
-			} else {
-				results[i], errs[i] = bear.RunRate(j.cfg, j.workload)
+		}
+		if len(units) == 0 {
+			fail(fmt.Errorf("no workloads given"))
+		}
+		if *resume != "" {
+			store, err := exp.OpenStore(*resume, p.Fingerprint(exp.BuildFingerprint()))
+			if err != nil {
+				fail(err)
 			}
-			if store != nil && errs[i] == nil {
-				store.save(key, results[i])
+			runner.Store = store
+		}
+		for _, u := range units {
+			f, err := runner.UnitAsync(u)
+			if err != nil {
+				fail(err)
 			}
-		}()
-	}
-	for range jobs {
-		<-done
+			futures = append(futures, f)
+		}
 	}
 
 	// Print the units that succeeded (in sweep order), then summarise the
 	// failures. The exit code reports sweep health: 0 only when every unit
 	// completed, 3 when an interrupt left the sweep checkpointed.
 	var completed []*bear.Result
-	failed := 0
-	for i := range jobs {
-		if skipped[i] || errs[i] != nil {
-			if errs[i] != nil {
-				failed++
-			}
-			continue
+	for _, f := range futures {
+		if run, err := f.Wait(); err == nil {
+			completed = append(completed, bear.ResultOf(run))
 		}
-		completed = append(completed, results[i])
 	}
 	emit(completed, *asJSON)
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "\nbearsim: %d of %d units failed:\n", failed, len(jobs))
-		for i, j := range jobs {
-			if errs[i] != nil {
-				fmt.Fprintf(os.Stderr, "  FAIL %-10s %-10s %v\n", j.cfg.Design, j.workload, errs[i])
-			}
-		}
+	if n := runner.Restored(); n > 0 {
+		fmt.Fprintf(os.Stderr, "bearsim: %d result(s) restored from %s\n", n, *resume)
 	}
-	if interrupted.Load() {
+	runner.WriteFailureTable(os.Stderr)
+	if runner.Interrupted() {
 		where := *resume
 		if where == "" {
 			where = "nowhere (-resume not set; completed units were not persisted)"
@@ -253,17 +179,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bearsim: interrupted; completed units checkpointed to %s — re-run the same command to resume\n", where)
 		os.Exit(exitInterrupted)
 	}
-	if failed > 0 {
+	if len(runner.Failures()) > 0 {
 		os.Exit(1)
 	}
-}
-
-func oneDesign(name string) (bear.Design, error) {
-	d, ok := designByName[strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return 0, fmt.Errorf("unknown design %q", name)
-	}
-	return d, nil
 }
 
 func fail(err error) {
@@ -296,17 +214,6 @@ func emit(results []*bear.Result, asJSON bool) {
 		}
 		print(r)
 	}
-}
-
-func mixIndex(name string) (int, bool) {
-	if !strings.HasPrefix(strings.ToUpper(name), "MIX") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(name[3:])
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }
 
 func print(r *bear.Result) {

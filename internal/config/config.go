@@ -205,10 +205,6 @@ type System struct {
 	// 1/16 threshold.
 	DuelSatLimit uint32
 
-	// LHUseDIP selects DIP instead of LRU insertion for the Loh-Hill
-	// design's 29-way sets (paper footnote 3).
-	LHUseDIP bool
-
 	// SectorBytes is the sector size for Design == Sector (4 KB in paper).
 	SectorBytes int
 	// PageBytes is the allocation-block (page) size for the page-grained
@@ -217,9 +213,11 @@ type System struct {
 	// the tag store reports page fills and dirty-line victims through
 	// FillResult.
 	PageBytes int
-	// TISUseDIP selects DIP instead of LRU insertion for the TIS design
-	// (the lifted dipFill policy composed over sramTags; abl-dip sweeps it).
-	TISUseDIP bool
+	// UseDIP selects DIP instead of LRU insertion for the Loh-Hill design's
+	// 29-way sets (paper footnote 3) or the TIS design's SRAM tag store:
+	// dramcache.Build composes the one dipFill policy over either, and
+	// rejects the flag for every other design. abl-dip sweeps it.
+	UseDIP bool
 	// AssocWays is the associativity of TIS / Sector / Loh-Hill designs.
 	AssocWays int
 

@@ -456,3 +456,25 @@ func TestBuildAllDesigns(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildUseDIP: UseDIP composes the DIP fill policy over LH and TIS and
+// is an error for every other design.
+func TestBuildUseDIP(t *testing.T) {
+	for d := config.NoL4; d <= config.TicToc; d++ {
+		cfg := config.Default(256).WithDesign(d)
+		cfg.UseDIP = true
+		b, err := Build(cfg, &event.Queue{}, Hooks{})
+		if d != config.LohHill && d != config.TIS {
+			if err == nil {
+				t.Errorf("Build(%v) with UseDIP: no error", d)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Build(%v) with UseDIP: %v", d, err)
+		}
+		if _, ok := b.Cache.(*Controller).fill.(dipFill); !ok {
+			t.Errorf("Build(%v) with UseDIP: fill policy %T, want dipFill", d, b.Cache.(*Controller).fill)
+		}
+	}
+}

@@ -26,6 +26,9 @@ type Bundle struct {
 // Build constructs the memory system described by cfg on the event queue q,
 // reporting L4 evictions through hooks.
 func Build(cfg config.System, q *event.Queue, hooks Hooks) (*Bundle, error) {
+	if cfg.UseDIP && cfg.Design != config.LohHill && cfg.Design != config.TIS {
+		return nil, fmt.Errorf("dramcache: DIP insertion applies to LH and TIS, not %v", cfg.Design)
+	}
 	b := &Bundle{}
 	b.MemDRAM = dram.New("mem", cfg.Mem, q)
 	b.Mem = NewMainMemory(b.MemDRAM)
@@ -35,6 +38,14 @@ func Build(cfg config.System, q *event.Queue, hooks Hooks) (*Bundle, error) {
 		return b, nil
 	}
 	b.L4DRAM = dram.New("l4", cfg.L4, q)
+	// withDIP composes DIP insertion, a pure FillPolicy, over the LH or
+	// TIS tag store when cfg.UseDIP asks for it.
+	withDIP := func(c *Controller) *Controller {
+		if cfg.UseDIP {
+			c.fill = newDIPFill()
+		}
+		return c
+	}
 
 	switch cfg.Design {
 	case config.Alloy, config.BEAR, config.BWOpt, config.InclAlloy:
@@ -72,20 +83,15 @@ func Build(cfg config.System, q *event.Queue, hooks Hooks) (*Bundle, error) {
 		b.Cache = NewAlloy(cfg.Design.String(), cfg.AlloySets(), b.L4DRAM, b.Mem, hooks, opts)
 
 	case config.LohHill:
-		b.Cache = NewLohHill("LH", cfg.LHSets(), 29, b.L4DRAM, b.Mem, hooks,
-			LHOpts{MissMapLatency: cfg.L3.Latency, UseDIP: cfg.LHUseDIP})
+		b.Cache = withDIP(NewLohHill("LH", cfg.LHSets(), 29, b.L4DRAM, b.Mem, hooks,
+			LHOpts{MissMapLatency: cfg.L3.Latency}))
 	case config.MostlyClean:
 		b.Cache = NewLohHill("MC", cfg.LHSets(), 29, b.L4DRAM, b.Mem, hooks,
 			LHOpts{PerfectPredictor: true})
 
 	case config.TIS:
 		lines := uint64(cfg.CacheBytes) / config.LineBytes
-		tis := NewTIS("TIS", lines, cfg.AssocWays, b.L4DRAM, b.Mem, hooks)
-		if cfg.TISUseDIP {
-			// DIP composes over the SRAM tag store as a pure FillPolicy.
-			tis.fill = newDIPFill()
-		}
-		b.Cache = tis
+		b.Cache = withDIP(NewTIS("TIS", lines, cfg.AssocWays, b.L4DRAM, b.Mem, hooks))
 	case config.Sector:
 		lines := uint64(cfg.CacheBytes) / config.LineBytes
 		sectorLines := uint64(cfg.SectorBytes / config.LineBytes)

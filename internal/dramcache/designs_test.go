@@ -281,7 +281,10 @@ func TestLHDIPThrashProtection(t *testing.T) {
 	run := func(useDIP bool) uint64 {
 		f := newFixture()
 		// One set (use many fills into set 0 of a small cache).
-		l := NewLohHill("lh", 64, 4, f.l4, f.mem, Hooks{}, LHOpts{MissMapLatency: 24, UseDIP: useDIP})
+		l := NewLohHill("lh", 64, 4, f.l4, f.mem, Hooks{}, LHOpts{MissMapLatency: 24})
+		if useDIP {
+			l.fill = newDIPFill()
+		}
 		hits := uint64(0)
 		for lap := 0; lap < 30; lap++ {
 			for i := uint64(0); i < 6; i++ { // 6-line cycle > 4 ways

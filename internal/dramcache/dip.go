@@ -7,9 +7,9 @@ import "bear/internal/core"
 // duel's current winner answers InsertMRU, which the engine hands to
 // TagStore.Fill as the insertion position. Because the mechanism is pure
 // policy — no tag-store hooks — DIP composes with any associative store:
-// the Loh-Hill tags-in-DRAM rows (config.LHUseDIP) and the Tags-In-SRAM
-// design (config.TISUseDIP, swept by the abl-dip ablation) share this one
-// implementation.
+// config.UseDIP puts this one implementation over the Loh-Hill
+// tags-in-DRAM rows or the Tags-In-SRAM design (the abl-dip ablation
+// sweeps both).
 type dipFill struct{ d *core.DIP }
 
 // newDIPFill builds a DIP policy with the standard 1024-access duel window.

@@ -18,9 +18,6 @@ type LHOpts struct {
 	// predictor dispatches predicted misses directly to memory with no
 	// added latency; writebacks still require probes (no MissMap).
 	PerfectPredictor bool
-	// UseDIP selects Dynamic Insertion Policy instead of pure LRU for the
-	// 29-way sets (footnote 3 of the paper names LRU/DIP as LH's options).
-	UseDIP bool
 }
 
 // LohHill is the 29-way set-associative tags-in-DRAM cache of Loh & Hill
@@ -188,9 +185,6 @@ func NewLohHill(name string, sets uint64, ways int, l4 *dram.Memory, mem *MainMe
 		banks:    uint64(cfg.Banks),
 	}
 	c.tags = t
-	if opts.UseDIP {
-		c.fill = newDIPFill()
-	}
 	if opts.MissMapLatency > 0 {
 		// The BEAR paper idealises the MissMap ("same latency as the LLC",
 		// no capacity effects), so it is sized generously here — one

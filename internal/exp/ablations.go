@@ -314,9 +314,9 @@ func init() {
 		About:    "DIP is a standalone FillPolicy since the granularity refactor, so the same dipFill composes over both the in-DRAM (LH) and in-SRAM (TIS) tag stores; speedups are vs each design's own LRU base",
 		Run: func(p Params, w io.Writer, r *Runner) error {
 			lhDIP := specLH
-			lhDIP.lhDIP = true
+			lhDIP.dip = true
 			tisDIP := specTIS
-			tisDIP.tisDIP = true
+			tisDIP.dip = true
 			r.PrefetchRate([]spec{specLH, lhDIP, specTIS, tisDIP}, ablationWorkloads)
 			t := newTable("Policy", "Speedup-vs-LRU", "HitRate", "Bloat")
 			for _, d := range []struct {

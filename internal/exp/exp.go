@@ -53,6 +53,34 @@ func (p Params) Fingerprint(extra string) string {
 		p.Scale, p.Warm, p.Meas, p.Mixes, p.Seed, extra)
 }
 
+// BuildFingerprint identifies the simulator build, the usual extra string
+// for Fingerprint: results cached by a different code version must not be
+// trusted. Binaries built inside the git checkout carry the VCS revision;
+// anything else (e.g. `go run` of a modified tree without VCS stamping)
+// degrades to a shared "dev" fingerprint. bearbench, bearserve and bearsim
+// all derive it here, so binaries built from one tree agree on it and
+// bearserve's worker handshake accepts them.
+func BuildFingerprint() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		var rev, modified string
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value
+			}
+		}
+		if rev != "" {
+			if modified == "true" {
+				return rev + "+dirty"
+			}
+			return rev
+		}
+	}
+	return "dev"
+}
+
 // Default returns parameters that reproduce the paper's shapes in a few
 // minutes per experiment.
 func Default() Params {
@@ -123,8 +151,7 @@ type spec struct {
 	pred       config.PredMode
 	wbAllocate bool
 	ttc        bool
-	lhDIP      bool
-	tisDIP     bool
+	dip        bool
 }
 
 // baseSpec returns the paper-default system for a design (BEAR expands to
@@ -160,8 +187,7 @@ func (s spec) build(p Params) config.System {
 	sys.Pred = s.pred
 	sys.WBAllocate = s.wbAllocate
 	sys.UseTTC = s.ttc
-	sys.LHUseDIP = s.lhDIP
-	sys.TISUseDIP = s.tisDIP
+	sys.UseDIP = s.dip
 	sys.Seed = p.Seed
 	return sys
 }
@@ -300,7 +326,17 @@ func (r *Runner) start(s spec, wlName string, mk func() (trace.Workload, error))
 	go func() {
 		sem <- struct{}{}
 		defer func() { <-sem }()
-		t.res, t.err = r.runUnit(key, s, wlName, mk)
+		// A unit queued before Interrupt but not started is refused like
+		// one requested after it, and unmemoised for the same reason.
+		r.mu.Lock()
+		if r.interrupted {
+			delete(r.memo, key)
+			t.err = ErrInterrupted
+		}
+		r.mu.Unlock()
+		if t.err == nil {
+			t.res, t.err = r.runUnit(key, s, wlName, mk)
+		}
 		close(t.done)
 	}()
 	return t

@@ -33,7 +33,6 @@ type Store struct {
 	fingerprint string
 
 	mu        sync.Mutex
-	hits      int
 	discarded int
 	saveErrs  int
 }
@@ -70,17 +69,15 @@ func checksum(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Load returns the stored result for key, or ok=false on a miss. Invalid
-// entries (corruption, stale fingerprint, checksum mismatch) are deleted
-// and reported as misses.
+// Load returns the stored result for key, or ok=false on a miss.
+// Structurally invalid entries (corruption, wrong key, checksum mismatch)
+// are deleted and reported as misses; an entry with a stale fingerprint is
+// a miss too but stays on disk for LoadStale.
 func (st *Store) Load(key string) (*stats.Run, bool) {
 	res, fp, ok := st.load(key)
 	if !ok || fp != st.fingerprint {
 		return nil, false
 	}
-	st.mu.Lock()
-	st.hits++
-	st.mu.Unlock()
 	return res, true
 }
 
@@ -262,13 +259,6 @@ func (st *Store) saveFailed() {
 	st.mu.Lock()
 	st.saveErrs++
 	st.mu.Unlock()
-}
-
-// Hits reports how many units were restored from the store.
-func (st *Store) Hits() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.hits
 }
 
 // Discarded reports how many invalid entries were deleted.

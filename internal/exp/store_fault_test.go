@@ -1,15 +1,19 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
+	"bear/internal/config"
 	"bear/internal/faultpoint"
 	"bear/internal/stats"
+	"bear/internal/trace"
 )
 
 // runForUnit derives a distinguishable result per key so cross-unit mixups
@@ -219,30 +223,152 @@ func TestStoreIngest(t *testing.T) {
 
 // TestUnitSpecKeysMatchRunner pins the interoperability contract: the key
 // a UnitSpec computes is the key the Runner's own store writes, so a
-// bearserve-populated store resumes a bearbench sweep.
+// bearserve-populated store resumes a bearbench or bearsim sweep. Mix names
+// take their prefix in any case and key by their number.
 func TestUnitSpecKeysMatchRunner(t *testing.T) {
 	for _, u := range []UnitSpec{
 		{Design: "Alloy", Workload: "soplex"},
 		{Design: "bear", Workload: "MIX3"},
+		{Design: "bear", Workload: "mix03"},
 		{Design: "BEAR", Workload: "soplex@single"},
+		{Design: "lohhill", Workload: "libq", L4Channels: 2, L4Banks: 4, CapacityMB: 512},
 	} {
 		key, err := u.Key()
 		if err != nil {
 			t.Fatalf("%s: %v", u, err)
 		}
-		s, err := u.resolve()
+		// Hold the only worker slot so the unit is memoised but never
+		// simulated, read its memo key, then drain it.
+		r := NewRunner(tinyParams())
+		r.sem = make(chan struct{}, 1)
+		r.sem <- struct{}{}
+		f, err := r.UnitAsync(u)
 		if err != nil {
+			t.Fatalf("%s: %v", u, err)
+		}
+		r.mu.Lock()
+		var got []string
+		for k := range r.memo {
+			got = append(got, storeKey(k))
+		}
+		r.mu.Unlock()
+		if len(got) != 1 || got[0] != key {
+			t.Errorf("%s: Key=%q, runner uses %q", u, key, got)
+		}
+		r.Interrupt()
+		<-r.sem
+		if _, err := f.Wait(); err != ErrInterrupted {
+			t.Errorf("%s: drained unit error = %v, want ErrInterrupted", u, err)
+		}
+	}
+	for _, u := range []UnitSpec{
+		{Design: "nope", Workload: "x"},
+		{Design: "Alloy"},
+		{Design: "Alloy", Workload: "MIX0"},
+		{Design: "Alloy", Workload: "mixx"},
+		{Design: "Alloy", Workload: "x", L4Channels: -1},
+		{Design: "Alloy", Workload: "x", L4Banks: -1},
+		{Design: "Alloy", Workload: "x", CapacityMB: -1},
+	} {
+		if err := u.Validate(); err == nil {
+			t.Errorf("%+v accepted", u)
+		}
+		if _, err := u.Key(); err == nil {
+			t.Errorf("%+v keyed", u)
+		}
+	}
+}
+
+// TestUnitSpecWire: a unit without overrides encodes to the same bytes as
+// before the override fields existed, an override round-trips, and
+// UnitDesignNames lists each design once despite the aliases.
+func TestUnitSpecWire(t *testing.T) {
+	b, err := json.Marshal(UnitSpec{Design: "Alloy", Workload: "soplex"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"design":"Alloy","workload":"soplex"}`; string(b) != want {
+		t.Errorf("zero-override unit encodes to %s, want %s", b, want)
+	}
+	over := UnitSpec{Design: "LH", Workload: "mcf", L4Channels: 2, L4Banks: 4, CapacityMB: 512}
+	b, err = json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back UnitSpec
+	if err := json.Unmarshal(b, &back); err != nil || back != over {
+		t.Errorf("override unit %s decodes to %+v (%v)", b, back, err)
+	}
+	names := UnitDesignNames()
+	var want []string
+	for d := config.NoL4; d <= config.TicToc; d++ {
+		want = append(want, d.String())
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("UnitDesignNames() = %v, want %v", names, want)
+	}
+}
+
+// TestFilesAsync: a Runner replays a unit from recorded trace files, one
+// per core, and refuses to when it has a Store, since the files' contents
+// are not part of a store key.
+func TestFilesAsync(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real simulation; skipped with -short")
+	}
+	p := tinyParams()
+	b, err := trace.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var paths []string
+	for c := 0; c < config.Default(p.Scale).Core.Count; c++ {
+		path := filepath.Join(dir, fmt.Sprintf("mcf.%d.trace", c))
+		if err := trace.SaveTraceFile(path, trace.NewGen(b, c, p.Scale, p.Seed), 2*(p.Warm+p.Meas)); err != nil {
 			t.Fatal(err)
 		}
-		if want := storeKey(memoKey{s: s, wl: u.Workload}); key != want {
-			t.Errorf("%s: Key=%q, runner uses %q", u, key, want)
+		paths = append(paths, path)
+	}
+	u := UnitSpec{Design: "Alloy", Workload: "recorded"}
+
+	stored := NewRunner(p)
+	stored.Store, err = OpenStore(t.TempDir(), p.Fingerprint("test-build"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stored.FilesAsync(u, paths); err == nil {
+		t.Fatal("FilesAsync accepted a Runner with a Store")
+	}
+	if n := stored.Count(); n != 0 {
+		t.Fatalf("refused replay still simulated %d unit(s)", n)
+	}
+
+	r := NewRunner(p)
+	f, err := r.FilesAsync(u, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Design != "Alloy" || res.Workload != "recorded" || len(res.CoreInstr) != len(paths) {
+		t.Fatalf("replay = %s/%s on %d cores, want Alloy/recorded on %d", res.Design, res.Workload, len(res.CoreInstr), len(paths))
+	}
+	for c, n := range res.CoreInstr {
+		if n != p.Meas {
+			t.Fatalf("core %d retired %d measured instructions, want %d", c, n, p.Meas)
 		}
 	}
-	if _, err := (UnitSpec{Design: "nope", Workload: "x"}).Key(); err == nil {
-		t.Error("unknown design accepted")
+
+	f, err = NewRunner(p).FilesAsync(u, []string{filepath.Join(dir, "missing.trace")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (UnitSpec{Design: "Alloy"}).Validate(); err == nil {
-		t.Error("empty workload accepted")
+	if _, err := f.Wait(); err == nil {
+		t.Fatal("replay of a missing trace file succeeded")
 	}
 }
 
@@ -285,5 +411,35 @@ func TestRunnerInterrupt(t *testing.T) {
 	}
 	if r2.Restored() != 1 || r2.Count() != 0 {
 		t.Fatalf("resume after interrupt: Restored=%d Count=%d, want 1/0", r2.Restored(), r2.Count())
+	}
+
+	// Units queued before Interrupt but still waiting for a worker slot
+	// never start: at Parallel=1 at most the first one runs, and every
+	// other one fails with ErrInterrupted, unmemoised and out of the
+	// failure table.
+	r3 := NewRunner(p)
+	r3.Parallel = 1
+	var fs []Future
+	for _, wl := range []string{"soplex", "libq", "mcf", "lbm"} {
+		fs = append(fs, r3.RateAsync(specAlloy, wl))
+	}
+	r3.Interrupt()
+	ran := 0
+	for i, f := range fs {
+		switch _, err := f.Wait(); {
+		case err == nil:
+			ran++
+		case err != ErrInterrupted:
+			t.Errorf("queued unit %d: error %v, want ErrInterrupted", i, err)
+		}
+	}
+	if r3.Count() > 1 || ran != r3.Count() {
+		t.Errorf("after Interrupt at Parallel=1: Count=%d, %d units completed; want at most 1, equal", r3.Count(), ran)
+	}
+	if len(r3.memo) != ran {
+		t.Errorf("%d units memoised, want only the %d that ran", len(r3.memo), ran)
+	}
+	if n := len(r3.Failures()); n != 0 {
+		t.Errorf("drained units entered the failure table: %v", r3.Failures())
 	}
 }

@@ -237,6 +237,41 @@ func TestServerBreakerSheds(t *testing.T) {
 	}
 }
 
+// TestServerRejectsL4Overrides: a unit with L4 overrides is refused with
+// 400, along with the rest of its batch, since /result and /progress could
+// not name it apart from the default unit.
+func TestServerRejectsL4Overrides(t *testing.T) {
+	st, dir := openTestStore(t, testFP)
+	s := New(Config{
+		WorkerCmd:   fakeWorker(t, testFP, `while read line; do :; done`),
+		Workers:     1,
+		Store:       st,
+		StoreDir:    dir,
+		Fingerprint: testFP,
+		Params:      exp.Quick(),
+	})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	for _, body := range []string{
+		`{"units":[{"design":"BEAR","workload":"mcf","l4channels":2}]}`,
+		`{"units":[{"design":"BEAR","workload":"mcf"},{"design":"LH","workload":"mcf","l4banks":4}]}`,
+		`{"units":[{"design":"Alloy","workload":"soplex","capacityMB":512}]}`,
+		`{"units":[{"design":"Alloy","workload":"soplex","capacityMB":9223372036854775807}]}`,
+	} {
+		resp, err := http.Post(hs.URL+"/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sweep %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if p := s.Progress(); len(p.Units) != 0 {
+		t.Fatalf("refused batches enqueued %d unit(s): %+v", len(p.Units), p.Units)
+	}
+}
+
 // TestServerEndToEndHTTP drives the full happy path over HTTP against a
 // fake worker that replies with a precomputed valid envelope, then checks
 // the degradation ladder and the readiness flip during drain.

@@ -158,7 +158,8 @@ func (s *Server) Start() {
 
 // Submit validates and enqueues units; units whose key is already known
 // (in any state) are skipped, making submission idempotent. It reports
-// how many were newly accepted.
+// how many were newly accepted. Units with L4 overrides are refused:
+// /result and /progress name a unit by its design and workload alone.
 func (s *Server) Submit(specs []exp.UnitSpec) (int, error) {
 	type keyed struct {
 		spec exp.UnitSpec
@@ -166,6 +167,9 @@ func (s *Server) Submit(specs []exp.UnitSpec) (int, error) {
 	}
 	ks := make([]keyed, 0, len(specs))
 	for _, spec := range specs {
+		if spec != (exp.UnitSpec{Design: spec.Design, Workload: spec.Workload}) {
+			return 0, fmt.Errorf("serve: unit %s: L4 overrides are not served", spec)
+		}
 		key, err := spec.Key()
 		if err != nil {
 			return 0, err

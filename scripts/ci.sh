@@ -86,6 +86,12 @@ go test -run '^$' -fuzz FuzzPrewarmRuns -fuzztime 10s ./internal/dramcache
 # suppression set must be the parse's known rules. Crashers land in
 # internal/lint/testdata/fuzz.
 go test -run '^$' -fuzz FuzzNolint -fuzztime 10s ./internal/lint
+# And for the result store's envelope decoders, which bearbench, bearsim and
+# bearserve all resume through: arbitrary bytes must never panic Ingest or
+# Load, every envelope Ingest accepts must load back to a run re-encoding to
+# its payload, and Load must never serve what Ingest refuses. Crashers land
+# in internal/exp/testdata/fuzz.
+go test -run '^$' -fuzz FuzzStoreIngest -fuzztime 10s ./internal/exp
 
 # perfbench is its own module (perfbench/go.mod), so `./...` and simlint
 # stop at it. Vet and test it here so the benchmark's output checks keep
@@ -116,6 +122,17 @@ go run ./cmd/bearbench $resume_args 2>"$err2" | grep -v '^\[' >"$run2"
 cmp "$run1" "$run2"
 grep -q 'result(s) restored' "$err2"
 
+# The same round-trip through bearsim, which runs its design x workload
+# units on the same Runner and Store: the second run restores all six
+# units and prints the same bytes.
+simstore=$(mktemp -d)
+trap 'rm -rf "$store" "$run1" "$run2" "$err2" "$simstore"' EXIT
+sim_args="-workload mcf,MIX1 -design Alloy,BEAR,LH -scale 1024 -warm 20000 -meas 50000 -resume $simstore"
+go run ./cmd/bearsim $sim_args >"$run1"
+go run ./cmd/bearsim $sim_args >"$run2" 2>"$err2"
+cmp "$run1" "$run2"
+grep -q '^bearsim: 6 result(s) restored' "$err2"
+
 # chaos smoke: the bearserve supervision tree survives a worker killed
 # mid-unit. A fault plan deterministically hangs the worker inside its one
 # unit (so "mid-unit" is a fact, not a race), kill -9 takes the worker
@@ -130,7 +147,7 @@ cstore=$(mktemp -d)
 fstore=$(mktemp -d)
 dstore=$(mktemp -d)
 srv=
-trap 'kill "$srv" 2>/dev/null || true; rm -rf "$store" "$run1" "$run2" "$err2" "$bindir" "$cstore" "$fstore" "$dstore"' EXIT
+trap 'kill "$srv" 2>/dev/null || true; rm -rf "$store" "$run1" "$run2" "$err2" "$simstore" "$bindir" "$cstore" "$fstore" "$dstore"' EXIT
 go build -buildvcs=false -o "$bindir" ./cmd/bearbench ./cmd/bearserve
 addr=127.0.0.1:18431
 unit='{"units":[{"design":"Alloy","workload":"soplex"}]}'
