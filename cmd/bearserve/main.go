@@ -2,8 +2,7 @@
 // plane that schedules simulation units onto a supervised pool of
 // bearbench -worker subprocesses. A simulator crash, watchdog trip or
 // OOM kills one unit's worker process; the server retries the unit with
-// backoff, sheds load through per-design circuit breakers, and keeps
-// serving memoized results throughout.
+// deterministic backoff and keeps serving stored results throughout.
 //
 // Usage:
 //

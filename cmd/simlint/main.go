@@ -157,7 +157,7 @@ func emit(found []finding, jsonOut bool) {
 //     internal/lint itself (the analyzer must be as deterministic as the
 //     models it audits); cmd/examples are drivers that legitimately read
 //     wall-clock time for progress reporting, and internal/serve is the
-//     bearserve control plane — deadlines, backoff and circuit breakers are
+//     bearserve control plane — deadlines, backoff and the drain are
 //     wall-clock machinery by design, and nothing under internal/serve is
 //     on a simulation path (workers are separate processes whose simulation
 //     code stays fully covered);

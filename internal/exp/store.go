@@ -23,11 +23,11 @@ import (
 // Every entry embeds the store fingerprint (result-affecting Params plus
 // the caller's build identity — see Params.Fingerprint) and a checksum of
 // the result payload. Load treats any structural damage — corrupted JSON,
-// wrong key, bad checksum — as a miss and deletes the entry, so torn or
-// edited files can degrade a resume into extra work but never into wrong
-// results. Entries whose fingerprint merely mismatches are misses too but
-// stay on disk: they are valid results of another era, which LoadStale
-// serves (labelled) when bearserve degrades under a broken worker pool.
+// wrong key, bad checksum, a payload that is not a stats.Run — as a miss
+// and deletes the entry, so torn or edited files can degrade a resume into
+// extra work but never into wrong results. Entries whose fingerprint
+// merely mismatches are misses too but stay on disk for a later run under
+// that fingerprint; nothing serves them under another.
 type Store struct {
 	dir         string
 	fingerprint string
@@ -70,63 +70,59 @@ func checksum(b []byte) string {
 }
 
 // Load returns the stored result for key, or ok=false on a miss.
-// Structurally invalid entries (corruption, wrong key, checksum mismatch)
-// are deleted and reported as misses; an entry with a stale fingerprint is
-// a miss too but stays on disk for LoadStale.
+// Structurally invalid entries (see decodeEnvelope, plus a wrong key) are
+// deleted and reported as misses. An entry with another fingerprint is a
+// miss too but stays on disk: a later run under that fingerprint can still
+// use it.
 func (st *Store) Load(key string) (*stats.Run, bool) {
-	res, fp, ok := st.load(key)
-	if !ok || fp != st.fingerprint {
-		return nil, false
-	}
-	return res, true
-}
-
-// LoadStale returns a structurally valid entry for key even when its
-// fingerprint does not match the store's — the graceful-degradation escape
-// bearserve uses to serve memoized results while its worker pool is
-// saturated or broken. The payload is still checksum-verified against the
-// entry's own fingerprint era, so a stale result is old, never corrupt.
-// The entry's fingerprint is returned so callers can label the staleness.
-func (st *Store) LoadStale(key string) (*stats.Run, string, bool) {
-	return st.load(key)
-}
-
-// load reads and structurally validates the entry for key: parseable
-// envelope, current version, matching key, checksum over the payload.
-// Fingerprint policy is the caller's. Structurally invalid entries are
-// deleted and reported as misses; fingerprint-mismatched ones are kept
-// (LoadStale serves them, and a later run under their fingerprint still
-// can).
-func (st *Store) load(key string) (*stats.Run, string, bool) {
 	p := st.path(key)
 	raw, err := os.ReadFile(p)
 	if err != nil {
-		return nil, "", false
+		return nil, false
 	}
+	env, res, err := decodeEnvelope(raw, st.fingerprint)
+	if err != nil || env.Key != key {
+		st.discard(p)
+		return nil, false
+	}
+	return res, res != nil
+}
+
+// decodeEnvelope parses an entry and verifies its version and the checksum
+// over its payload. The checksum covers the compact payload, so an entry
+// that was pretty-printed in transit is still valid, while any semantic
+// edit is not. Under the given fingerprint the payload must also be
+// exactly a stats.Run: one that checksums but does not re-encode to itself
+// (unknown, missing, duplicate or miscased fields) is not a result this
+// code wrote, so it is refused rather than read as a partly zero run. An
+// entry of another fingerprint may hold another build's stats.Run, so it
+// is returned with a nil run.
+func decodeEnvelope(raw []byte, fingerprint string) (envelope, *stats.Run, error) {
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		st.discard(p)
-		return nil, "", false
+		return env, nil, fmt.Errorf("undecodable envelope: %w", err)
 	}
-	// The checksum covers the compact payload, so canonicalise before
-	// comparing: an entry that was pretty-printed in transit is still
-	// valid, while any semantic edit is not.
+	if env.Version != storeVersion {
+		return env, nil, fmt.Errorf("envelope version %d, want %d", env.Version, storeVersion)
+	}
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, env.Result); err != nil {
-		st.discard(p)
-		return nil, "", false
+		return env, nil, fmt.Errorf("unparseable payload: %w", err)
 	}
-	if env.Version != storeVersion || env.Key != key ||
-		env.Checksum != checksum(compact.Bytes()) {
-		st.discard(p)
-		return nil, "", false
+	if env.Checksum != checksum(compact.Bytes()) {
+		return env, nil, fmt.Errorf("checksum mismatch for %q", env.Key)
+	}
+	if env.Fingerprint != fingerprint {
+		return env, nil, nil
 	}
 	var res stats.Run
-	if err := json.Unmarshal(env.Result, &res); err != nil {
-		st.discard(p)
-		return nil, "", false
+	if err := json.Unmarshal(compact.Bytes(), &res); err != nil {
+		return env, nil, fmt.Errorf("payload of %q is not a stats.Run: %w", env.Key, err)
 	}
-	return &res, env.Fingerprint, true
+	if re, err := json.Marshal(&res); err != nil || !bytes.Equal(re, compact.Bytes()) {
+		return env, nil, fmt.Errorf("payload of %q is not exactly a stats.Run", env.Key)
+	}
+	return env, &res, nil
 }
 
 func (st *Store) discard(path string) {
@@ -136,9 +132,11 @@ func (st *Store) discard(path string) {
 	st.mu.Unlock()
 }
 
-// encodeEnvelope renders the checksummed on-disk entry for (key, res)
-// under the given fingerprint.
-func encodeEnvelope(fingerprint, key string, res *stats.Run) ([]byte, error) {
+// EncodeEnvelope renders the store's wire/disk entry format for a result.
+// Worker subprocesses (bearbench -worker) use it to hand completed units
+// back to bearserve in exactly the bytes the server's Store would persist,
+// so the supervisor can checksum-verify the frame before trusting it.
+func EncodeEnvelope(fingerprint, key string, res *stats.Run) ([]byte, error) {
 	resJSON, err := json.Marshal(res)
 	if err != nil {
 		return nil, err
@@ -153,19 +151,11 @@ func encodeEnvelope(fingerprint, key string, res *stats.Run) ([]byte, error) {
 	return json.Marshal(&env)
 }
 
-// EncodeEnvelope renders the store's wire/disk entry format for a result.
-// Worker subprocesses (bearbench -worker) use it to hand completed units
-// back to bearserve in exactly the bytes the server's Store would persist,
-// so the supervisor can checksum-verify the frame before trusting it.
-func EncodeEnvelope(fingerprint, key string, res *stats.Run) ([]byte, error) {
-	return encodeEnvelope(fingerprint, key, res)
-}
-
 // Save persists a completed result. Failures are best-effort: a store
 // that cannot be written costs future resumes, not current results, so
 // errors are counted (SaveErrors) rather than propagated.
 func (st *Store) Save(key string, res *stats.Run) {
-	raw, err := encodeEnvelope(st.fingerprint, key, res)
+	raw, err := EncodeEnvelope(st.fingerprint, key, res)
 	if err != nil {
 		st.saveFailed()
 		return
@@ -178,25 +168,16 @@ func (st *Store) Save(key string, res *stats.Run) {
 // Ingest verifies an externally produced envelope (a worker's stdout
 // frame) and persists it. Unlike Save it propagates errors: the caller is
 // a supervisor deciding whether the unit succeeded, and a frame that does
-// not verify — garbage bytes, a foreign fingerprint, a checksum mismatch —
-// means it did not. Returns the unit key the envelope carries.
+// not verify — garbage bytes, a foreign fingerprint, a checksum mismatch,
+// a payload that is not a stats.Run — means it did not. Returns the unit
+// key the envelope carries.
 func (st *Store) Ingest(raw []byte) (string, error) {
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return "", fmt.Errorf("exp: ingest: undecodable envelope: %w", err)
+	env, res, err := decodeEnvelope(raw, st.fingerprint)
+	if err != nil {
+		return "", fmt.Errorf("exp: ingest: %w", err)
 	}
-	if env.Version != storeVersion {
-		return "", fmt.Errorf("exp: ingest: envelope version %d, want %d", env.Version, storeVersion)
-	}
-	if env.Fingerprint != st.fingerprint {
+	if res == nil {
 		return "", fmt.Errorf("exp: ingest: fingerprint %q does not match the store's", env.Fingerprint)
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, env.Result); err != nil {
-		return "", fmt.Errorf("exp: ingest: unparseable payload: %w", err)
-	}
-	if env.Checksum != checksum(compact.Bytes()) {
-		return "", fmt.Errorf("exp: ingest: checksum mismatch for %q", env.Key)
 	}
 	if err := st.writeEntry(env.Key, raw); err != nil {
 		st.saveFailed()

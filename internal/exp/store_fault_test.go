@@ -173,10 +173,22 @@ func TestStoreCrashMidRename(t *testing.T) {
 	}
 }
 
+// forgedEnvelope is a well-formed, correctly checksummed envelope whose
+// payload is not a stats.Run.
+func forgedEnvelope(fingerprint, key string) []byte {
+	payload := []byte(`{"Bogus":1}`)
+	raw, err := json.Marshal(&envelope{Version: storeVersion, Fingerprint: fingerprint, Key: key,
+		Checksum: checksum(payload), Result: payload})
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
 // TestStoreIngest covers the worker-envelope path bearserve relies on:
 // a frame produced by EncodeEnvelope round-trips through Ingest into a
-// loadable entry, while damaged, foreign-fingerprint, or garbage frames
-// are refused with nothing persisted.
+// loadable entry, while damaged, foreign-fingerprint, forged-payload or
+// garbage frames are refused with nothing persisted.
 func TestStoreIngest(t *testing.T) {
 	st, err := OpenStore(t.TempDir(), "fp1")
 	if err != nil {
@@ -198,6 +210,7 @@ func TestStoreIngest(t *testing.T) {
 	bad := [][]byte{
 		[]byte("garbage"),
 		raw[:len(raw)/2],
+		forgedEnvelope("fp1", "unit-b"),
 	}
 	if foreign, err := EncodeEnvelope("fp-other", "unit-b", sampleRun()); err == nil {
 		bad = append(bad, foreign)

@@ -8,12 +8,13 @@ import (
 	"testing"
 )
 
-// FuzzStoreIngest drives the store's two envelope decoders with arbitrary
-// bytes: Ingest, which verifies a worker's frame, and Load, which reads an
-// entry file. Neither may panic; every envelope Ingest accepts must load
+// FuzzStoreIngest drives the store's envelope decoder with arbitrary bytes
+// through both of its callers: Ingest, which verifies a worker's frame,
+// and Load, which reads an entry file. Neither may panic; every envelope Ingest accepts must load
 // back to a stats.Run that re-encodes to the envelope's payload; and Load
 // must never serve bytes that Ingest refuses. Seeds are a real tiny run's
-// envelope and its torn, bit-flipped, re-indented and foreign-build copies.
+// envelope, its torn, bit-flipped, re-indented and foreign-build copies,
+// and a correctly checksummed envelope whose payload is not a stats.Run.
 func FuzzStoreIngest(f *testing.F) {
 	const fp = "fuzz-build"
 	run, err := NewRunner(tinyParams()).Rate(specAlloy, "libq")
@@ -34,7 +35,8 @@ func FuzzStoreIngest(f *testing.F) {
 	}
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)/2] ^= 0x01
-	for _, seed := range [][]byte{raw, raw[:len(raw)/2], flipped, indented.Bytes(), foreign, []byte("garbage")} {
+	for _, seed := range [][]byte{raw, raw[:len(raw)/2], flipped, indented.Bytes(), foreign,
+		forgedEnvelope(fp, "unit"), []byte("garbage")} {
 		f.Add(seed)
 	}
 

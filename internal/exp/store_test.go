@@ -61,6 +61,7 @@ func TestStoreRejectsCorruption(t *testing.T) {
 		{"payload edited", func(raw []byte) []byte {
 			return bytes.Replace(raw, []byte("123456789"), []byte("123456780"), 1)
 		}, true},
+		{"payload not a run", func(raw []byte) []byte { return forgedEnvelope("fp1", "unit-a") }, true},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
@@ -92,9 +93,8 @@ func TestStoreRejectsCorruption(t *testing.T) {
 }
 
 // TestStoreRejectsStaleFingerprint: entries written under a different
-// code version or parameter set must not be trusted by Load — but they
-// stay on disk, checksum-guarded, so LoadStale can serve them as labelled
-// stale results when bearserve degrades.
+// code version or parameter set must not be trusted by Load, but they stay
+// on disk for a later run under their own fingerprint.
 func TestStoreRejectsStaleFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	st1, err := OpenStore(dir, "fp-old")
@@ -110,26 +110,10 @@ func TestStoreRejectsStaleFingerprint(t *testing.T) {
 		t.Fatal("stale-fingerprint entry served as valid")
 	}
 	if st2.Discarded() != 0 {
-		t.Errorf("Discarded() = %d, want 0: stale entries are kept for LoadStale", st2.Discarded())
+		t.Errorf("Discarded() = %d, want 0: stale entries stay on disk", st2.Discarded())
 	}
-	res, fp, ok := st2.LoadStale("unit-a")
-	if !ok || res == nil {
-		t.Fatal("LoadStale refused a structurally valid stale entry")
-	}
-	if fp != "fp-old" {
-		t.Errorf("LoadStale fingerprint = %q, want fp-old", fp)
-	}
-	// Corruption is still corruption in stale mode: flip a payload byte.
-	raw, err := os.ReadFile(st2.path("unit-a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(st2.path("unit-a"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := st2.LoadStale("unit-a"); ok {
-		t.Fatal("LoadStale served a corrupt entry")
+	if _, ok := st1.Load("unit-a"); !ok {
+		t.Fatal("entry no longer loads under its own fingerprint")
 	}
 }
 

@@ -9,9 +9,9 @@
 // fully determinism-linted simulation stack). Robustness machinery lives
 // here and only here: per-unit wall-clock deadlines derived from
 // instruction budgets, retry with exponential backoff and deterministic
-// jitter, a per-design circuit breaker, graceful degradation onto stale
-// exp.Store results, and a SIGTERM drain that checkpoints progress into
-// the resume store. Because everything under internal/serve is off the
+// jitter (every failing unit gets exactly MaxAttempts tries), a read-back
+// of each ingested result, and a SIGTERM drain that checkpoints progress
+// into the resume store. Because everything under internal/serve is off the
 // simulation path, the package is exempt from the determinism lint the
 // sanctioned way (see cmd/simlint's repoConfig) — wall clocks, timers and
 // goroutines are its job.

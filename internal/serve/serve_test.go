@@ -72,41 +72,6 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestBreakerStateMachine(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	b := newBreaker(2, time.Minute)
-	if !b.allow(t0) {
-		t.Fatal("closed breaker refused")
-	}
-	b.failure(t0)
-	if !b.allow(t0) {
-		t.Fatal("one failure below threshold opened the breaker")
-	}
-	b.failure(t0)
-	if b.allow(t0.Add(time.Second)) {
-		t.Fatal("open breaker admitted inside cooldown")
-	}
-	// Cooldown elapsed: exactly one probe is admitted.
-	t1 := t0.Add(2 * time.Minute)
-	if !b.allow(t1) {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.allow(t1) {
-		t.Fatal("half-open breaker admitted a second unit mid-probe")
-	}
-	b.failure(t1)
-	if b.allow(t1.Add(30 * time.Second)) {
-		t.Fatal("failed probe did not restart the cooldown")
-	}
-	if !b.allow(t1.Add(2 * time.Minute)) {
-		t.Fatal("re-opened breaker never half-opened again")
-	}
-	b.success()
-	if !b.allow(t1.Add(2*time.Minute + time.Second)) {
-		t.Fatal("successful probe did not close the breaker")
-	}
-}
-
 func TestWorkerProcSupervision(t *testing.T) {
 	cases := []struct {
 		name string
@@ -159,9 +124,10 @@ func TestWorkerFingerprintMismatchRefused(t *testing.T) {
 	}
 }
 
-// TestServerRetriesThenFails drives a unit against a worker that always
-// reports failure: the scheduler must retry up to MaxAttempts with one
-// retry-table entry per attempt, then fail the unit terminally.
+// TestServerRetriesThenFails drives three units of one design against a
+// worker that always reports failure: the scheduler must give every unit
+// exactly MaxAttempts tries, one retry-table entry per attempt, then fail
+// it terminally. Nothing is shed, however many failures the design has.
 func TestServerRetriesThenFails(t *testing.T) {
 	st, dir := openTestStore(t, testFP)
 	s := New(Config{
@@ -177,63 +143,32 @@ func TestServerRetriesThenFails(t *testing.T) {
 	})
 	s.Start()
 	defer s.Drain()
-	if _, err := s.Submit([]exp.UnitSpec{{Design: "Alloy", Workload: "soplex"}}); err != nil {
+	units := []exp.UnitSpec{
+		{Design: "Alloy", Workload: "soplex"},
+		{Design: "Alloy", Workload: "libq"},
+		{Design: "Alloy", Workload: "mcf"},
+	}
+	if _, err := s.Submit(units); err != nil {
 		t.Fatal(err)
 	}
 	s.Wait()
 	p := s.Progress()
-	if p.Failed != 1 || p.Done != 0 {
-		t.Fatalf("progress = %+v, want 1 failed", p)
+	if p.Failed != 3 || p.Done != 0 {
+		t.Fatalf("progress = %+v, want 3 failed", p)
 	}
-	u := p.Units[0]
-	if u.State != StateFailed || u.Attempts != 3 || len(u.Errors) != 3 {
-		t.Fatalf("unit = %+v, want 3 recorded attempts", u)
-	}
-	for i, e := range u.Errors {
-		want := fmt.Sprintf("attempt %d: unit failed in worker: boom", i+1)
-		if e != want {
-			t.Fatalf("retry table entry %d = %q, want %q", i, e, want)
+	for _, u := range p.Units {
+		if u.State != StateFailed || u.Attempts != 3 || len(u.Errors) != 3 {
+			t.Fatalf("unit = %+v, want 3 recorded attempts", u)
+		}
+		for i, e := range u.Errors {
+			want := fmt.Sprintf("attempt %d: unit failed in worker: boom", i+1)
+			if e != want {
+				t.Fatalf("%s/%s retry table entry %d = %q, want %q", u.Design, u.Workload, i, e, want)
+			}
 		}
 	}
-	if p.Retries != 2 {
-		t.Fatalf("retries = %d, want 2", p.Retries)
-	}
-}
-
-// TestServerBreakerSheds opens the per-design breaker with consecutive
-// failures and verifies later dispatches of that design are shed instead
-// of burning worker time.
-func TestServerBreakerSheds(t *testing.T) {
-	st, dir := openTestStore(t, testFP)
-	s := New(Config{
-		WorkerCmd:       fakeWorker(t, testFP, `while read line; do echo '{"ok":false,"error":"boom"}'; done`),
-		Workers:         1,
-		Store:           st,
-		StoreDir:        dir,
-		Fingerprint:     testFP,
-		MaxAttempts:     4,
-		BaseBackoff:     time.Millisecond,
-		MaxBackoff:      2 * time.Millisecond,
-		BreakerFails:    2,
-		BreakerCooldown: time.Hour,
-		Params:          exp.Quick(),
-	})
-	s.Start()
-	defer s.Drain()
-	if _, err := s.Submit([]exp.UnitSpec{{Design: "Alloy", Workload: "soplex"}}); err != nil {
-		t.Fatal(err)
-	}
-	s.Wait()
-	u := s.Progress().Units[0]
-	if u.State != StateFailed {
-		t.Fatalf("unit state %s, want failed", u.State)
-	}
-	// Two real attempts open the breaker; the third dispatch is shed.
-	if u.Attempts != 2 || len(u.Errors) != 3 {
-		t.Fatalf("unit = %+v, want 2 attempts then a shed entry", u)
-	}
-	if !strings.Contains(u.Errors[2], "circuit breaker open") {
-		t.Fatalf("final entry %q does not record the shed", u.Errors[2])
+	if p.Retries != 6 {
+		t.Fatalf("retries = %d, want 6", p.Retries)
 	}
 }
 
@@ -274,7 +209,8 @@ func TestServerRejectsL4Overrides(t *testing.T) {
 
 // TestServerEndToEndHTTP drives the full happy path over HTTP against a
 // fake worker that replies with a precomputed valid envelope, then checks
-// the degradation ladder and the readiness flip during drain.
+// that another fingerprint's entry is never served and that readiness
+// flips during drain.
 func TestServerEndToEndHTTP(t *testing.T) {
 	unit := exp.UnitSpec{Design: "Alloy", Workload: "soplex"}
 	key, err := unit.Key()
@@ -295,10 +231,9 @@ func TestServerEndToEndHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Seed the store directory with a stale-era entry for a second unit,
-	// so the degraded path has something to serve.
-	staleUnit := exp.UnitSpec{Design: "BEAR", Workload: "libq"}
-	staleKey, err := staleUnit.Key()
+	// Seed the store directory with another fingerprint's entry for a
+	// second unit.
+	staleKey, err := exp.UnitSpec{Design: "BEAR", Workload: "libq"}.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +242,7 @@ func TestServerEndToEndHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staleRun := sampleRun("BEAR", "libq")
-	old.Save(staleKey, staleRun)
+	old.Save(staleKey, sampleRun("BEAR", "libq"))
 
 	st, err := exp.OpenStore(dir, testFP)
 	if err != nil {
@@ -360,7 +294,7 @@ func TestServerEndToEndHTTP(t *testing.T) {
 	s.Wait()
 
 	code, hdr, raw := get("/result?design=Alloy&workload=soplex")
-	if code != 200 || hdr.Get("X-Bear-Fingerprint") != testFP || hdr.Get("X-Bear-Stale") != "" {
+	if code != 200 || hdr.Get("X-Bear-Fingerprint") != testFP {
 		t.Fatalf("fresh result: code=%d headers=%v", code, hdr)
 	}
 	var got stats.Run
@@ -371,13 +305,12 @@ func TestServerEndToEndHTTP(t *testing.T) {
 		t.Fatalf("served result differs:\n  want %+v\n  got  %+v", want, &got)
 	}
 
-	// Stale entries are not served while the pool is healthy...
 	if code, _, _ := get("/result?design=BEAR&workload=libq"); code != 404 {
-		t.Fatalf("healthy pool served stale (or wrong code %d)", code)
+		t.Fatalf("another fingerprint's entry answered %d, want 404", code)
 	}
 
-	// ...but the drain degrades: readyz flips to 503 while healthz stays
-	// 200, and the stale era is served with its fingerprint labelled.
+	// The drain flips readyz to 503 while healthz stays 200, and still
+	// serves no other fingerprint's entry.
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -387,15 +320,8 @@ func TestServerEndToEndHTTP(t *testing.T) {
 	if code, _, _ := get("/readyz"); code != 503 {
 		t.Fatalf("readyz during drain = %d, want 503", code)
 	}
-	code, hdr, raw = get("/result?design=BEAR&workload=libq")
-	if code != 200 || hdr.Get("X-Bear-Stale") != "fp-old" {
-		t.Fatalf("degraded result: code=%d stale=%q", code, hdr.Get("X-Bear-Stale"))
-	}
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&got, staleRun) {
-		t.Fatal("stale result bytes differ from the stored era")
+	if code, _, _ := get("/result?design=BEAR&workload=libq"); code != 404 {
+		t.Fatalf("draining server answered %d for another fingerprint's entry, want 404", code)
 	}
 	resp, err = http.Post(hs.URL+"/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {

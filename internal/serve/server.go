@@ -38,18 +38,11 @@ type Config struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	Seed        uint64
-	// BreakerFails consecutive failures open a design's circuit breaker
-	// for BreakerCooldown (defaults 5, 30s).
-	BreakerFails    int
-	BreakerCooldown time.Duration
 	// UnitDeadline is the wall-clock budget per unit attempt; derive it
 	// from the sweep's instruction budgets with DeadlineFor (the default).
 	UnitDeadline time.Duration
 	// Params is used only to derive UnitDeadline when it is zero.
 	Params exp.Params
-	// QueueLimit is the pending-unit count past which the pool counts as
-	// saturated and /result degrades to stale serving (default 256).
-	QueueLimit int
 }
 
 // DeadlineFor derives a per-unit wall-clock deadline from the sweep's
@@ -77,17 +70,8 @@ func (c Config) fill() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 10 * time.Second
 	}
-	if c.BreakerFails <= 0 {
-		c.BreakerFails = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * time.Second
-	}
 	if c.UnitDeadline <= 0 {
 		c.UnitDeadline = DeadlineFor(c.Params)
-	}
-	if c.QueueLimit <= 0 {
-		c.QueueLimit = 256
 	}
 	return c
 }
@@ -98,7 +82,7 @@ const (
 	StateBackoff      = "backoff" // failed attempt, waiting to retry
 	StateRunning      = "running"
 	StateDone         = "done"
-	StateFailed       = "failed"       // terminal: attempts exhausted or shed
+	StateFailed       = "failed"       // terminal: attempts exhausted
 	StateInterrupted  = "interrupted"  // drain hit the unit mid-flight
 	StateCheckpointed = "checkpointed" // written to the drain manifest
 )
@@ -123,7 +107,6 @@ type Server struct {
 	ready    []*unit // dispatch queue (FIFO)
 	pending  int     // units not yet terminal
 	retries  int     // failed attempts that were rescheduled
-	breakers map[string]*breaker
 	timers   []*time.Timer
 	draining bool
 	started  bool
@@ -133,11 +116,7 @@ type Server struct {
 
 // New builds a Server; call Start to launch the pool.
 func New(cfg Config) *Server {
-	s := &Server{
-		cfg:      cfg.fill(),
-		units:    map[string]*unit{},
-		breakers: map[string]*breaker{},
-	}
+	s := &Server{cfg: cfg.fill(), units: map[string]*unit{}}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -196,19 +175,8 @@ func (s *Server) Submit(specs []exp.UnitSpec) (int, error) {
 	return accepted, nil
 }
 
-func (s *Server) breakerFor(design string) *breaker {
-	b := s.breakers[design]
-	if b == nil {
-		b = newBreaker(s.cfg.BreakerFails, s.cfg.BreakerCooldown)
-		s.breakers[design] = b
-	}
-	return b
-}
-
 // next blocks until a unit is dispatchable (returning it in StateRunning
-// with its attempt counted) or the server drains (returning nil). Units
-// whose design breaker is open are shed here: a terminal failure, so a
-// broken design drains from the queue instead of monopolising the pool.
+// with its attempt counted) or the server drains (returning nil).
 func (s *Server) next() *unit {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,13 +187,6 @@ func (s *Server) next() *unit {
 		if len(s.ready) > 0 {
 			u := s.ready[0]
 			s.ready = s.ready[1:]
-			if !s.breakerFor(u.spec.Design).allow(time.Now()) {
-				u.errs = append(u.errs, fmt.Sprintf("attempt %d: shed: circuit breaker open for design %s",
-					u.attempts+1, u.spec.Design))
-				u.state = StateFailed
-				s.pending--
-				continue
-			}
 			u.attempts++
 			u.state = StateRunning
 			return u
@@ -286,15 +247,12 @@ func (s *Server) attempt(w *workerProc, u *unit) error {
 func (s *Server) complete(u *unit, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := s.breakerFor(u.spec.Design)
 	if err == nil {
-		b.success()
 		u.state = StateDone
 		s.pending--
 		return
 	}
 	u.errs = append(u.errs, fmt.Sprintf("attempt %d: %v", u.attempts, err))
-	b.failure(time.Now())
 	if s.draining {
 		u.state = StateInterrupted
 		return
@@ -491,21 +449,6 @@ func (s *Server) Progress() Progress {
 	return p
 }
 
-// degraded reports whether /result should fall back to stale serving for
-// the given design: the pool is draining, saturated past the queue limit,
-// or the design's breaker is open (its units are being shed).
-func (s *Server) degraded(design string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining || s.pending > s.cfg.QueueLimit {
-		return true
-	}
-	if b, ok := s.breakers[design]; ok && b.open {
-		return true
-	}
-	return false
-}
-
 // --- HTTP surface. ---
 
 // Handler returns the daemon's HTTP mux:
@@ -516,10 +459,10 @@ func (s *Server) degraded(design string) bool {
 //	GET  /healthz   200 while the process lives (liveness)
 //	GET  /readyz    200 while accepting work; 503 once draining (readiness)
 //
-// /result implements the degradation ladder: a fresh store entry is
-// served plainly; a known in-flight unit answers 202; when the pool is
-// degraded, a structurally valid stale entry is served with the
-// X-Bear-Stale header naming its fingerprint era; otherwise 404.
+// /result serves the unit's store entry under the server's fingerprint
+// (200, labelled X-Bear-Fingerprint); a submitted unit without one
+// answers 202, any other unit 404. An entry of another fingerprint, from
+// another build or parameter set, is never served.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -590,14 +533,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Bear-Fingerprint", s.cfg.Fingerprint)
 		json.NewEncoder(w).Encode(res)
 		return
-	}
-	if s.degraded(u.Design) {
-		if res, fp, ok := s.cfg.Store.LoadStale(key); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Bear-Stale", fp)
-			json.NewEncoder(w).Encode(res)
-			return
-		}
 	}
 	s.mu.Lock()
 	_, known := s.units[key]

@@ -86,12 +86,17 @@ go test -run '^$' -fuzz FuzzPrewarmRuns -fuzztime 10s ./internal/dramcache
 # suppression set must be the parse's known rules. Crashers land in
 # internal/lint/testdata/fuzz.
 go test -run '^$' -fuzz FuzzNolint -fuzztime 10s ./internal/lint
-# And for the result store's envelope decoders, which bearbench, bearsim and
+# And for the result store's envelope decoder, which bearbench, bearsim and
 # bearserve all resume through: arbitrary bytes must never panic Ingest or
 # Load, every envelope Ingest accepts must load back to a run re-encoding to
 # its payload, and Load must never serve what Ingest refuses. Crashers land
 # in internal/exp/testdata/fuzz.
 go test -run '^$' -fuzz FuzzStoreIngest -fuzztime 10s ./internal/exp
+# And for the units bearserve decodes from the network, as a /sweep body
+# and as a worker's request line: nothing may panic, /sweep answers 202 or
+# 400, and every unit Key accepts must re-encode to the same key. Crashers
+# land in internal/serve/testdata/fuzz.
+go test -run '^$' -fuzz FuzzUnitSpec -fuzztime 10s ./internal/serve
 
 # perfbench is its own module (perfbench/go.mod), so `./...` and simlint
 # stop at it. Vet and test it here so the benchmark's output checks keep
