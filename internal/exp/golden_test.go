@@ -14,9 +14,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden outputs under 
 // goldenIDs are the experiments pinned byte-for-byte. They cover every L4
 // design flow the refactors touch: fig12 (Alloy/BEAR/BW-Opt speedups over
 // rate + mix workloads), fig13 (the six-way bloat breakdown for five
-// schemes), tab4 (hit-rate and latency aggregates), and xgran (the
-// page-grained Banshee/TicToc designs on the granularity axis).
-var goldenIDs = []string{"fig12", "fig13", "tab4", "xgran"}
+// schemes), tab4 (hit-rate and latency aggregates), xgran (the
+// page-grained Banshee/TicToc designs on the granularity axis), fig16
+// (the on-chip-tag TIS and Sector-Cache baselines beside Alloy and BEAR)
+// and abl-dip (DIP insertion over the LH and TIS tag stores).
+var goldenIDs = []string{"fig12", "fig13", "tab4", "xgran", "fig16", "abl-dip"}
 
 // TestGoldenOutputs diffs experiment output byte-for-byte against the
 // committed goldens. Any change to simulation behaviour — even a reordering
