@@ -39,7 +39,7 @@ const (
 	// valid/dirty bits and an idealised 6 MB SRAM tag store.
 	Sector
 	// Banshee is the page-grained design of Yu et al. (MICRO 2017):
-	// whole-page (PageBytes) fills admitted by frequency-based replacement,
+	// whole-page (BlockBytes) fills admitted by frequency-based replacement,
 	// SRAM/TLB-resident tags with a tag buffer, and a dirty-probe flow for
 	// writebacks that miss the buffer. Cross-paper comparison point for the
 	// granularity axis.
@@ -205,14 +205,6 @@ type System struct {
 	// 1/16 threshold.
 	DuelSatLimit uint32
 
-	// SectorBytes is the sector size for Design == Sector (4 KB in paper).
-	SectorBytes int
-	// PageBytes is the allocation-block (page) size for the page-grained
-	// Banshee and TicToc designs (4 KB, both papers). This is the
-	// granularity knob: each page tag covers PageBytes / LineBytes lines, and
-	// the tag store reports page fills and dirty-line victims through
-	// FillResult.
-	PageBytes int
 	// UseDIP selects DIP instead of LRU insertion for the Loh-Hill design's
 	// 29-way sets (paper footnote 3) or the TIS design's SRAM tag store:
 	// dramcache.Build composes the one dipFill policy over either, and
@@ -230,6 +222,12 @@ type System struct {
 
 // LineBytes is the line size used at every level (64 B, per the paper).
 const LineBytes = 64
+
+// BlockBytes is the allocation block of the sub-blocked designs: the
+// Sector Cache's sector (4 KB in the paper) and the Banshee and TicToc
+// page (4 KB in both papers). Each block tag covers BlockBytes / LineBytes
+// lines, with per-line valid and dirty bits.
+const BlockBytes = 4096
 
 // TADBytes is the size of an Alloy Tag-And-Data entry on the bus: 8 B tag +
 // 64 B data, padded to five 16 B bursts.
@@ -284,8 +282,6 @@ func Default(scale int) System {
 		BypassProb:        0.9,
 		DuelSatLimit:      2048,
 		NTCEntriesPerBank: 8,
-		SectorBytes:       4096,
-		PageBytes:         4096,
 		AssocWays:         32,
 		WarmFrac:          0.5,
 		Seed:              1,

@@ -8,7 +8,7 @@ import (
 
 // Banshee is the page-grained DRAM cache of Yu et al. ("Banshee:
 // Bandwidth-efficient DRAM caching via software/hardware cooperation"),
-// expressed as a Controller composition over pageTags: 4 KB frames with
+// expressed as a Controller composition over blockTags: 4 KB frames with
 // SRAM/TLB-resident tags, frequency-based replacement as the FillPolicy
 // (pages are admitted only once they prove reuse, throttling page-fill
 // bloat), and a TLB-like tag buffer as the ProbeFilter. Reads never probe
@@ -72,11 +72,11 @@ func (f *fbrFill) InsertMRU(uint64) bool { return true }
 
 // bansheeTB is the TLB-resident tag buffer as a ProbeFilter: a small SRAM
 // cache of page mappings known to be resident. It trains on hits and fills
-// (Sync/OnProbe fire exactly there) and is invalidated by pageTags on page
+// (Sync/OnProbe fire exactly there) and is invalidated by blockTags on page
 // eviction, so a buffered mapping is always truthful — which is what lets
 // bansheeWB settle buffered writebacks without a probe.
 type bansheeTB struct {
-	pt *pageTags
+	pt *blockTags
 	tb *sram.Cache
 }
 
@@ -87,7 +87,7 @@ func (f *bansheeTB) Consult(_, page, line uint64) (known, present, skipProbe boo
 	if _, ok := f.tb.Lookup(page); !ok {
 		return false, false, false
 	}
-	return true, f.pt.lineValid(line), false
+	return true, f.pt.Contains(line), false
 }
 
 // insert deposits a page mapping, promoting an already-buffered one; pages
@@ -109,7 +109,7 @@ func (f *bansheeTB) OnProbe(_, page uint64) { f.insert(page) }
 // Sync implements ProbeFilter (fills and writeback updates deposit).
 func (f *bansheeTB) Sync(_, page uint64) { f.insert(page) }
 
-// invalidate is pageTags' eviction coherence hook.
+// invalidate is blockTags' eviction coherence hook.
 func (f *bansheeTB) invalidate(page uint64) { f.tb.Invalidate(page) }
 
 // bansheeWB resolves writebacks through the tag buffer: a buffered mapping
@@ -146,9 +146,8 @@ var bansheeLayout = Layout{
 // NewBanshee composes a Banshee cache of `lines` data lines grouped into
 // pages of pageLines lines, with the given page-set associativity.
 func NewBanshee(name string, lines, pageLines uint64, ways int, l4 *dram.Memory, mem *MainMemory, hooks Hooks) *Banshee {
-	checkPageGeometry(lines, pageLines)
 	c := newController(name, bansheeLayout, l4, mem, hooks)
-	pt := newPageTags(c, lines, pageLines, ways, true)
+	pt := newBlockTags(c, lines, pageLines, ways, true)
 	c.tags = pt
 
 	pages := lines / pageLines
@@ -160,7 +159,7 @@ func NewBanshee(name string, lines, pageLines uint64, ways int, l4 *dram.Memory,
 	}
 	tb := sram.New(tbSets, 8)
 	filter := &bansheeTB{pt: pt, tb: tb}
-	pt.onEvictPage = filter.invalidate
+	pt.onEvictBlock = filter.invalidate
 	c.filter = filter
 	c.wb = bansheeWB{tb: tb, amap: pt.amap}
 	// Frequency table: a few slots per page frame keeps candidate pages

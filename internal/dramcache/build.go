@@ -47,6 +47,11 @@ func Build(cfg config.System, q *event.Queue, hooks Hooks) (*Bundle, error) {
 		return c
 	}
 
+	// TIS, SC, Banshee and TicToc size their data store in lines; SC,
+	// Banshee and TicToc group it into config.BlockBytes blocks.
+	lines := uint64(cfg.CacheBytes) / config.LineBytes
+	const blockLines = config.BlockBytes / config.LineBytes
+
 	switch cfg.Design {
 	case config.Alloy, config.BEAR, config.BWOpt, config.InclAlloy:
 		opts := AlloyOpts{
@@ -90,21 +95,13 @@ func Build(cfg config.System, q *event.Queue, hooks Hooks) (*Bundle, error) {
 			LHOpts{PerfectPredictor: true})
 
 	case config.TIS:
-		lines := uint64(cfg.CacheBytes) / config.LineBytes
 		b.Cache = withDIP(NewTIS("TIS", lines, cfg.AssocWays, b.L4DRAM, b.Mem, hooks))
 	case config.Sector:
-		lines := uint64(cfg.CacheBytes) / config.LineBytes
-		sectorLines := uint64(cfg.SectorBytes / config.LineBytes)
-		b.Cache = NewSector("SC", lines, sectorLines, cfg.AssocWays, b.L4DRAM, b.Mem, hooks)
-
+		b.Cache = NewSector("SC", lines, blockLines, cfg.AssocWays, b.L4DRAM, b.Mem, hooks)
 	case config.Banshee:
-		lines := uint64(cfg.CacheBytes) / config.LineBytes
-		pageLines := uint64(cfg.PageBytes / config.LineBytes)
-		b.Cache = NewBanshee("Banshee", lines, pageLines, cfg.AssocWays, b.L4DRAM, b.Mem, hooks)
+		b.Cache = NewBanshee("Banshee", lines, blockLines, cfg.AssocWays, b.L4DRAM, b.Mem, hooks)
 	case config.TicToc:
-		lines := uint64(cfg.CacheBytes) / config.LineBytes
-		pageLines := uint64(cfg.PageBytes / config.LineBytes)
-		b.Cache = NewTicToc("TicToc", lines, pageLines, cfg.AssocWays, b.L4DRAM, b.Mem, hooks)
+		b.Cache = NewTicToc("TicToc", lines, blockLines, cfg.AssocWays, b.L4DRAM, b.Mem, hooks)
 
 	default:
 		return nil, fmt.Errorf("dramcache: unknown design %v", cfg.Design)

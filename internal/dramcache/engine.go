@@ -22,8 +22,8 @@ import (
 // wired into a Controller. The Controller owns the only transaction type
 // (txn, pooled, with pre-bound method-value callbacks) so the timed
 // probe→fill→writeback→victim flow exists exactly once; see ARCHITECTURE.md
-// for the full contract and alloy.go / tis.go / sector.go / lohhill.go /
-// updbypass.go for the compositions.
+// for the full contract and alloy.go / tis.go / sector.go / banshee.go /
+// tictoc.go / lohhill.go / updbypass.go for the compositions.
 
 // Location is a DRAM-cache coordinate: channel, bank, row.
 type Location struct {

@@ -19,8 +19,7 @@ import (
 // which the LohHill design adds on every request.
 type MissMap struct {
 	tags     *sram.Cache // keyed by segment number
-	bits     []uint64    // per-frame residency vector, indexed by frame
-	ways     uint64
+	bits     []uint64    // per-frame residency vector, indexed by tag slot
 	linesPer uint64
 
 	// onEvictLine is invoked for every resident line lost to a segment
@@ -46,7 +45,6 @@ func NewMissMap(segments uint64, ways int, linesPer uint64, onEvictLine func(uin
 	return &MissMap{
 		tags:        sram.New(sets, ways),
 		bits:        make([]uint64, sets*uint64(ways)),
-		ways:        uint64(ways),
 		linesPer:    linesPer,
 		onEvictLine: onEvictLine,
 	}
@@ -56,17 +54,11 @@ func (m *MissMap) split(line uint64) (segment uint64, bit uint64) {
 	return line / m.linesPer, uint64(1) << (line % m.linesPer)
 }
 
-// frame returns the residency-vector index of the tag array way that
-// segment seg occupies (set-major, like the tag array itself).
-func (m *MissMap) frame(seg uint64, way int) uint64 {
-	return m.tags.SetIndex(seg)*m.ways + uint64(way)
-}
-
 // Present reports whether line is marked resident.
 func (m *MissMap) Present(line uint64) bool {
 	seg, bit := m.split(line)
-	way, ok := m.tags.WayOf(seg)
-	return ok && m.bits[m.frame(seg, way)]&bit != 0
+	frame, ok := m.tags.Slot(seg)
+	return ok && m.bits[frame]&bit != 0
 }
 
 // Set marks line resident, allocating (and possibly evicting) a segment
@@ -74,13 +66,13 @@ func (m *MissMap) Present(line uint64) bool {
 // still tracked.
 func (m *MissMap) Set(line uint64) {
 	seg, bit := m.split(line)
-	if way, ok := m.tags.WayOf(seg); ok {
+	if frame, ok := m.tags.Slot(seg); ok {
 		m.tags.Access(seg, false)
-		m.bits[m.frame(seg, way)] |= bit
+		m.bits[frame] |= bit
 		return
 	}
-	frame := m.frame(seg, m.tags.VictimWay(seg))
 	ev := m.tags.Fill(seg, false, 0)
+	frame, _ := m.tags.Slot(seg) // the fill's slot, through the way hint
 	if ev.Valid {
 		m.SegEvictions++
 		vec := m.bits[frame]
@@ -99,8 +91,8 @@ func (m *MissMap) Set(line uint64) {
 // Clear unmarks line (called when the DRAM cache evicts it).
 func (m *MissMap) Clear(line uint64) {
 	seg, bit := m.split(line)
-	if way, ok := m.tags.WayOf(seg); ok {
-		m.bits[m.frame(seg, way)] &^= bit
+	if frame, ok := m.tags.Slot(seg); ok {
+		m.bits[frame] &^= bit
 	}
 }
 
@@ -108,8 +100,8 @@ func (m *MissMap) Clear(line uint64) {
 func (m *MissMap) Count() int {
 	n := 0
 	m.tags.Range(func(l sram.Line) bool {
-		way, _ := m.tags.WayOf(l.Addr)
-		n += bits.OnesCount64(m.bits[m.frame(l.Addr, way)])
+		frame, _ := m.tags.Slot(l.Addr)
+		n += bits.OnesCount64(m.bits[frame])
 		return true
 	})
 	return n

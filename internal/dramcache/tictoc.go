@@ -8,7 +8,7 @@ import (
 
 // TicToc is the DRAM-aware tag-check design of Young et al. ("TicToc:
 // enabling bandwidth-efficient DRAM caching for both hits and misses"),
-// composed over pageTags in demand-fill mode: page-grained frames filled
+// composed over blockTags in demand-fill mode: page-grained frames filled
 // line-at-a-time (no page-fill bloat), tags embedded alongside the data
 // (TIC — a hit's 64 B read carries its own tag check, so hits pay no
 // separate probe), and an SRAM tag cache of recently verified page
@@ -23,11 +23,11 @@ type TicToc = Controller
 // whose tag check was recently resolved (by a probe, a fill or a
 // writeback update); the aux byte records the verdict — resident or
 // verified-absent. Both answers skip the miss probe; residency answers
-// consult the pageTags' own valid bits for the demand line, so answers are
-// always truthful. pageTags invalidates a mapping when its page is
+// consult the blockTags' own valid bits for the demand line, so answers are
+// always truthful. blockTags invalidates a mapping when its page is
 // evicted.
 type tocFilter struct {
-	pt *pageTags
+	pt *blockTags
 	tc *sram.Cache
 }
 
@@ -45,7 +45,7 @@ func (f *tocFilter) Consult(_, page, line uint64) (known, present, skipProbe boo
 	if ln.Aux == tocAbsent {
 		return true, false, true
 	}
-	return true, f.pt.lineValid(line), true
+	return true, f.pt.Contains(line), true
 }
 
 // record caches the page's current verdict, promoting an existing entry.
@@ -67,7 +67,7 @@ func (f *tocFilter) OnProbe(_, page uint64) { f.record(page) }
 // Sync implements ProbeFilter: fills and writeback updates re-verify.
 func (f *tocFilter) Sync(_, page uint64) { f.record(page) }
 
-// invalidate is pageTags' eviction coherence hook.
+// invalidate is blockTags' eviction coherence hook.
 func (f *tocFilter) invalidate(page uint64) { f.tc.Invalidate(page) }
 
 // tictocWB resolves writebacks through the tag cache: a cached mapping
@@ -102,9 +102,8 @@ var tictocLayout = Layout{
 // NewTicToc composes a TicToc cache of `lines` data lines grouped into
 // pages of pageLines lines, with the given page-set associativity.
 func NewTicToc(name string, lines, pageLines uint64, ways int, l4 *dram.Memory, mem *MainMemory, hooks Hooks) *TicToc {
-	checkPageGeometry(lines, pageLines)
 	c := newController(name, tictocLayout, l4, mem, hooks)
-	pt := newPageTags(c, lines, pageLines, ways, false)
+	pt := newBlockTags(c, lines, pageLines, ways, false)
 	c.tags = pt
 
 	pages := lines / pageLines
@@ -115,7 +114,7 @@ func NewTicToc(name string, lines, pageLines uint64, ways int, l4 *dram.Memory, 
 		tcSets = 16
 	}
 	filter := &tocFilter{pt: pt, tc: sram.New(tcSets, 8)}
-	pt.onEvictPage = filter.invalidate
+	pt.onEvictBlock = filter.invalidate
 	c.filter = filter
 	c.wb = tictocWB{f: filter, amap: pt.amap}
 	return c

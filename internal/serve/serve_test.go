@@ -170,6 +170,19 @@ func TestServerRetriesThenFails(t *testing.T) {
 	if p.Retries != 6 {
 		t.Fatalf("retries = %d, want 6", p.Retries)
 	}
+	// A failed unit is terminal: /result must say so, not "pending".
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	resp, err := http.Get(hs.URL + "/result?design=Alloy&workload=mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body.String(), "attempt 3: unit failed in worker: boom") {
+		t.Fatalf("/result for a failed unit = %d %q, want 500 with the last error", resp.StatusCode, body.String())
+	}
 }
 
 // TestServerRejectsL4Overrides: a unit with L4 overrides is refused with

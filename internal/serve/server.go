@@ -460,8 +460,9 @@ func (s *Server) Progress() Progress {
 //	GET  /readyz    200 while accepting work; 503 once draining (readiness)
 //
 // /result serves the unit's store entry under the server's fingerprint
-// (200, labelled X-Bear-Fingerprint); a submitted unit without one
-// answers 202, any other unit 404. An entry of another fingerprint, from
+// (200, labelled X-Bear-Fingerprint); a unit whose attempts are exhausted
+// answers 500 with its last error, any other submitted unit 202, and an
+// unknown unit 404. An entry of another fingerprint, from
 // another build or parameter set, is never served.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -535,9 +536,21 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	_, known := s.units[key]
-	s.mu.Unlock()
+	var state, lastErr string
+	un, known := s.units[key]
 	if known {
+		state = un.state
+		if n := len(un.errs); n > 0 {
+			lastErr = un.errs[n-1]
+		}
+	}
+	s.mu.Unlock()
+	switch {
+	case state == StateFailed:
+		// Terminal: no result will ever come, so a poller must stop.
+		http.Error(w, "unit failed: "+lastErr, http.StatusInternalServerError)
+		return
+	case known:
 		http.Error(w, "unit pending", http.StatusAccepted)
 		return
 	}

@@ -6,12 +6,22 @@ import (
 	"bear/internal/rng"
 )
 
-// TestMapperRoundTrip drives randomized line addresses through every mapper
-// geometry the designs use (line-grained, sectored, paged) plus non-power-
-// of-two sizes that exercise the division fallback, and checks the
-// line → (block, sub) → line round trip plus the coordinate invariants.
+// TestMapperRoundTrip drives randomized line addresses through every
+// power-of-two mapper geometry (line-grained, sectored, paged), checks the
+// line → (block, sub) → line round trip plus the coordinate invariants,
+// and checks that every other block size is refused.
 func TestMapperRoundTrip(t *testing.T) {
-	geometries := []uint64{1, 2, 4, 8, 16, 32, 64, 3, 7, 28, 63}
+	for _, lines := range []uint64{0, 3, 7, 28, 63, 65, 128} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMapper(%d) did not panic", lines)
+				}
+			}()
+			NewMapper(lines)
+		}()
+	}
+	geometries := []uint64{1, 2, 4, 8, 16, 32, 64}
 	src := rng.New(0xb10c)
 	for _, lines := range geometries {
 		m := NewMapper(lines)
@@ -51,7 +61,6 @@ func TestMapperSetTagRoundTrip(t *testing.T) {
 		{56, 8, 64}, // paged, non-pow2 sets (Alloy-style row geometry)
 		{128, 2, 8}, // sectored
 		{16, 29, 1}, // line-grained, Loh-Hill associativity
-		{32, 4, 28}, // non-pow2 block size
 	}
 	src := rng.New(0x5e7)
 	for _, g := range geometries {
@@ -78,8 +87,8 @@ func TestMapperSetTagRoundTrip(t *testing.T) {
 			if !ok || ln.Addr != block {
 				t.Fatalf("geom %+v: block %#x not found after fill", g, block)
 			}
-			if w, ok := c.WayOf(block); !ok || w < 0 || w >= g.ways {
-				t.Fatalf("geom %+v: WayOf(%#x) = (%d, %v)", g, block, w, ok)
+			if i, ok := c.Slot(block); !ok || i/uint64(g.ways) != set {
+				t.Fatalf("geom %+v: Slot(%#x) = (%d, %v), want a slot of set %d", g, block, i, ok, set)
 			}
 		}
 	}

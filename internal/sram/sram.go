@@ -22,8 +22,9 @@
 // or gone stale merely falls through to the full sweep. It can never
 // change which way an operation selects.
 //
-// The same structure also backs the Tags-In-SRAM and Sector-Cache tag
-// stores and the Loh-Hill MissMap in internal/dramcache.
+// The same structure also backs internal/dramcache's on-chip tag store —
+// keyed by block address through a Mapper, it serves Tags-In-SRAM,
+// the Sector Cache, Banshee and TicToc — and the Loh-Hill MissMap.
 package sram
 
 import (
@@ -438,50 +439,9 @@ func (c *Cache) SetDirty(addr uint64) bool {
 	return true
 }
 
-// WayOf returns the way within its set where addr resides, used by
-// tags-in-SRAM designs to locate the corresponding data-store frame.
-func (c *Cache) WayOf(addr uint64) (int, bool) {
-	i, ok := c.find(addr)
-	if !ok {
-		return 0, false
-	}
-	return int(i - c.base(addr)), true
-}
-
-// VictimWay returns the way the next fill into addr's set would use.
-func (c *Cache) VictimWay(addr uint64) int {
-	base := c.base(addr)
-	victim := 0
-	var victimStamp uint32 = ^uint32(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + uint64(w)
-		if c.tags[i] == tagInvalid {
-			return w
-		}
-		if c.lru[i] < victimStamp {
-			victim, victimStamp = w, c.lru[i]
-		}
-	}
-	return victim
-}
-
-// Victim returns the line that the next fill into addr's set would displace,
-// without modifying any state.
-func (c *Cache) Victim(addr uint64) Eviction {
-	base := c.base(addr)
-	victim := base
-	var victimStamp uint32 = ^uint32(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + uint64(w)
-		if c.tags[i] == tagInvalid {
-			return Eviction{}
-		}
-		if c.lru[i] < victimStamp {
-			victim, victimStamp = i, c.lru[i]
-		}
-	}
-	return Eviction{Addr: c.tags[victim], Valid: true, Dirty: c.meta[victim]&metaDirty != 0, Aux: c.aux[victim]}
-}
+// Slot returns addr's slab index, set*Ways() + way: the data frame a
+// tags-in-SRAM design keeps beside the tag. Small enough to inline.
+func (c *Cache) Slot(addr uint64) (uint64, bool) { return c.find(addr) }
 
 // Range calls fn for every valid line; fn returning false stops iteration.
 func (c *Cache) Range(fn func(Line) bool) {

@@ -117,46 +117,25 @@ func TestSetDirty(t *testing.T) {
 	}
 }
 
-func TestWayOfAndVictimWay(t *testing.T) {
+func TestSlot(t *testing.T) {
 	c := New(2, 4)
-	addrs := []uint64{0, 2, 4, 6} // all set 0
-	for _, a := range addrs {
-		// VictimWay must predict where Fill lands.
-		want := c.VictimWay(a)
+	// Set 1 spans slab slots 4..7; fills take its free ways in order.
+	for way, a := range []uint64{1, 3, 5, 7} {
 		c.Fill(a, false, 0)
-		got, ok := c.WayOf(a)
-		if !ok || got != want {
-			t.Fatalf("fill of %d landed in way %d, VictimWay predicted %d", a, got, want)
+		if got, ok := c.Slot(a); !ok || got != 4+uint64(way) {
+			t.Fatalf("fill of %d landed in slot %d (%v), want %d", a, got, ok, 4+way)
 		}
 	}
-	// Set full: victim is LRU (addr 0), and VictimWay must match Fill.
-	c.Access(0, false) // make 0 MRU; LRU is now 2
-	want := c.VictimWay(8)
-	ev := c.Fill(8, false, 0)
-	got, _ := c.WayOf(8)
-	if got != want {
-		t.Fatalf("full-set fill landed in way %d, VictimWay said %d", got, want)
+	// Set full: the LRU line's slot is reused.
+	c.Access(1, false) // make 1 MRU; LRU is now 3
+	if ev := c.Fill(9, false, 0); ev.Addr != 3 {
+		t.Fatalf("evicted %d, want LRU line 3", ev.Addr)
 	}
-	if ev.Addr != 2 {
-		t.Fatalf("evicted %d, want LRU line 2", ev.Addr)
+	if got, _ := c.Slot(9); got != 5 {
+		t.Fatalf("full-set fill landed in slot %d, want line 3's slot 5", got)
 	}
-}
-
-func TestVictimPreview(t *testing.T) {
-	c := New(1, 2)
-	if v := c.Victim(0); v.Valid {
-		t.Fatal("victim in empty set should be invalid")
-	}
-	c.Fill(1, false, 0)
-	c.Fill(2, true, 0)
-	c.Access(1, false)
-	v := c.Victim(3)
-	if !v.Valid || v.Addr != 2 || !v.Dirty {
-		t.Fatalf("victim preview = %+v, want dirty line 2", v)
-	}
-	// Preview must not modify state.
-	if _, ok := c.Lookup(2); !ok {
-		t.Fatal("Victim() modified the cache")
+	if _, ok := c.Slot(3); ok {
+		t.Fatal("evicted line 3 still has a slot")
 	}
 }
 
@@ -350,9 +329,6 @@ func TestFillLRUStampCollision(t *testing.T) {
 	c.Fill(2, false, 0)
 	c.FillLRU(3, false, 0) // stamp 0
 	c.FillLRU(4, false, 0) // min other stamp is already 0: renumber
-	if ev := c.Victim(4); ev.Addr != 4 {
-		t.Fatalf("next victim is %d, want the most recent LRU-insert 4", ev.Addr)
-	}
 	ev := c.Fill(5, false, 0)
 	if ev.Addr != 4 {
 		t.Fatalf("evicted %d, want 4", ev.Addr)
@@ -396,12 +372,12 @@ func TestWayHint(t *testing.T) {
 	}
 	// A fill hints the way it installed into.
 	c.Fill(40, false, 0)
-	w, ok := c.WayOf(40)
+	i, ok := c.Slot(40)
 	if !ok {
 		t.Fatal("lost line 40")
 	}
-	if got := int(c.hint[0]); got != w {
-		t.Fatalf("hint = %d after install into way %d", got, w)
+	if got := uint64(c.hint[0]); got != i {
+		t.Fatalf("hint = %d after install into slot %d", got, i)
 	}
 	// FillIfAbsent / FillOrDirty on a present line served via the hint must
 	// not install, and FillOrDirty must still set the dirty bit.
@@ -419,8 +395,8 @@ func TestWayHint(t *testing.T) {
 	if _, ok := c.Lookup(20); !ok {
 		t.Fatal("lost line 20")
 	}
-	if w, _ := c.WayOf(20); int(c.hint[0]) != w {
-		t.Fatalf("hint = %d after Lookup hit on way %d", c.hint[0], w)
+	if i, _ := c.Slot(20); uint64(c.hint[0]) != i {
+		t.Fatalf("hint = %d after Lookup hit on slot %d", c.hint[0], i)
 	}
 }
 

@@ -80,6 +80,11 @@ go test -run '^$' -fuzz FuzzTADSlots -fuzztime 10s ./internal/dramcache
 # leave the slots exactly as the per-line round-robin Install does after the
 # same code reservation, and every set decoding as the plain Install leaves it.
 go test -run '^$' -fuzz FuzzPrewarmRuns -fuzztime 10s ./internal/dramcache
+# And for the on-chip block tag store with one-line blocks, the Tags-In-SRAM
+# store: random geometries and streams of MRU and LRU fills, touches,
+# writeback hits and installs must agree with a bare sram.Cache on every
+# hit, victim, victim dirtiness and frame.
+go test -run '^$' -fuzz FuzzBlockTags -fuzztime 10s ./internal/dramcache
 # And for the //bear:nolint grammar simlint and its -nolint-report share:
 # any comment must parse without a panic, no name may hold a rationale
 # separator, the report line must re-parse to the same suppression, and the

@@ -133,7 +133,7 @@ func BenchmarkSimTIS(b *testing.B) { benchSim(b, config.TIS) }
 // BenchmarkSimSC measures the sectored cache design.
 func BenchmarkSimSC(b *testing.B) { benchSim(b, config.Sector) }
 
-// BenchmarkSimBanshee measures the page-grained Banshee design (pageTags
+// BenchmarkSimBanshee measures the page-grained Banshee design (blockTags
 // with whole-page fills, FBR admission, tag-buffer writeback resolution).
 func BenchmarkSimBanshee(b *testing.B) { benchSim(b, config.Banshee) }
 
