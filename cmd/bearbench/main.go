@@ -27,7 +27,7 @@
 //
 // -worker turns the process into a bearserve pool worker: it reads unit
 // specs as line-delimited JSON on stdin and writes result-store envelopes
-// on stdout (see internal/serve). -faultplan arms the deterministic
+// on stdout (see internal/serve/worker). -faultplan arms the deterministic
 // fault-injection registry for chaos testing (see internal/faultpoint).
 package main
 
@@ -43,7 +43,7 @@ import (
 
 	"bear/internal/exp"
 	"bear/internal/faultpoint"
-	"bear/internal/serve"
+	"bear/internal/serve/worker"
 )
 
 // Exit codes: 0 success, 1 unit/experiment failures, 2 usage errors,
@@ -64,7 +64,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "log every simulation as it completes")
 		resume    = flag.String("resume", "", "directory of an on-disk result store; completed units are restored instead of re-simulated")
 		check     = flag.Bool("check", false, "run engine invariant checks each epoch and verify quiescence after every simulation")
-		worker    = flag.Bool("worker", false, "run as a bearserve pool worker: unit specs on stdin, result envelopes on stdout")
+		asWorker  = flag.Bool("worker", false, "run as a bearserve pool worker: unit specs on stdin, result envelopes on stdout")
 		faultplan = flag.String("faultplan", "", "arm the deterministic fault-injection plan (chaos testing)")
 		unitkey   = flag.String("unitkey", "", "print the result-store key for a design/workload unit and exit (for fault-plan scripting)")
 	)
@@ -97,7 +97,7 @@ func main() {
 		return
 	}
 
-	if !*worker && (*list || *run == "") {
+	if !*asWorker && (*list || *run == "") {
 		fmt.Println("Experiments (one per paper table/figure):")
 		for _, e := range exp.All() {
 			fmt.Printf("  %-6s %-9s %s\n", e.ID, e.Artifact, e.Title)
@@ -138,12 +138,12 @@ func main() {
 		runner.Log = os.Stderr
 	}
 
-	if *worker {
+	if *asWorker {
 		// Pool-worker mode: serve bearserve's unit protocol until stdin
 		// closes. Stdout belongs to the protocol, so progress logging (-v)
 		// stays on stderr; units run serially — the server owns parallelism.
 		runner.Parallel = 1
-		err := serve.WorkerLoop(runner, p.Fingerprint(exp.BuildFingerprint()), os.Stdin, os.Stdout)
+		err := worker.WorkerLoop(runner, p.Fingerprint(exp.BuildFingerprint()), os.Stdin, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bearbench: worker:", err)
 			os.Exit(1)

@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"syscall"
 	"time"
@@ -115,7 +116,8 @@ func main() {
 
 	bin := *workerBin
 	if bin == "" {
-		bin = siblingBearbench()
+		self, _ := os.Executable() // on error self is "", which falls back to PATH
+		bin = siblingBearbench(self)
 	}
 	s := serve.New(serve.Config{
 		WorkerCmd:    append([]string{bin}, workerArgs...),
@@ -168,12 +170,13 @@ func main() {
 		pr.Done, pr.Failed, pr.Interrupted)
 }
 
-// siblingBearbench prefers the bearbench binary sitting next to this
-// executable (the layout `go build ./...` and the CI scripts produce),
-// falling back to whatever PATH resolves.
-func siblingBearbench() string {
-	if self, err := os.Executable(); err == nil {
-		cand := self[:len(self)-len("bearserve")] + "bearbench"
+// siblingBearbench prefers the bearbench binary in the directory of the
+// executable self (the layout `go build ./...` and the CI scripts
+// produce), whatever self is named, falling back to whatever PATH
+// resolves.
+func siblingBearbench(self string) string {
+	if self != "" {
+		cand := filepath.Join(filepath.Dir(self), "bearbench")
 		if fi, err := os.Stat(cand); err == nil && !fi.IsDir() {
 			return cand
 		}

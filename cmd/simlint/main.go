@@ -158,9 +158,9 @@ func emit(found []finding, jsonOut bool) {
 //     models it audits); cmd/examples are drivers that legitimately read
 //     wall-clock time for progress reporting, and internal/serve is the
 //     bearserve control plane — deadlines, backoff and the drain are
-//     wall-clock machinery by design, and nothing under internal/serve is
-//     on a simulation path (workers are separate processes whose simulation
-//     code stays fully covered);
+//     wall-clock machinery by design, and it is on no simulation path
+//     (workers are separate processes whose code, internal/serve/worker
+//     included, stays fully covered);
 //   - goroutines are allowed only in internal/exp (the worker-pool layer)
 //     and internal/serve (the supervision tree);
 //   - the map-iteration rule applies everywhere, because map-ordered output

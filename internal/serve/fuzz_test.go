@@ -8,17 +8,18 @@ import (
 	"testing"
 
 	"bear/internal/exp"
+	"bear/internal/serve/worker"
 )
 
 // FuzzUnitSpec feeds arbitrary bytes to the two places bearserve decodes a
 // unit from outside the process: a POST /sweep body, through the real
-// handler, and a worker's WorkRequest line. Nothing may panic; /sweep
-// answers 202 or 400 and nothing else; Validate and Key agree on every
-// decoded unit; a unit Key accepts re-marshals and re-decodes to the same
-// key; and resubmitting an accepted batch accepts nothing new. The server
-// has no workers, so nothing is simulated. Seeds cover every design with a
-// rate, single-program and mix workload, bad mix numbers and the L4
-// override fields that bearserve refuses.
+// handler, and a worker's request line (worker.WorkRequest). Nothing may
+// panic; /sweep answers 202 or 400 and nothing else; Validate and Key
+// agree on every decoded unit; a unit Key accepts re-marshals and
+// re-decodes to the same key; and resubmitting an accepted batch accepts
+// nothing new. The server has no workers, so nothing is simulated. Seeds
+// cover every design with a rate, single-program and mix workload, bad mix
+// numbers and the L4 override fields that bearserve refuses.
 func FuzzUnitSpec(f *testing.F) {
 	var units []exp.UnitSpec
 	for _, d := range exp.UnitDesignNames() {
@@ -39,7 +40,7 @@ func FuzzUnitSpec(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		req, err := json.Marshal(WorkRequest{Unit: u, Attempt: 1})
+		req, err := json.Marshal(worker.WorkRequest{Unit: u, Attempt: 1})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func FuzzUnitSpec(f *testing.F) {
 		var body struct {
 			Units []exp.UnitSpec `json:"units"`
 		}
-		var req WorkRequest
+		var req worker.WorkRequest
 		var decoded []exp.UnitSpec
 		if json.Unmarshal(raw, &body) == nil {
 			decoded = append(decoded, body.Units...)

@@ -12,7 +12,13 @@ import (
 
 	"bear/internal/exp"
 	"bear/internal/fault"
+	"bear/internal/serve/worker"
 )
+
+// Hello is the worker's handshake frame, defined in package worker. The
+// alias keeps serve.Hello resolving for code that decodes a worker's first
+// line itself against this package, such as perfbench's spawn timer.
+type Hello = worker.Hello
 
 // workerProc supervises one worker subprocess. It is used by a single
 // scheduler goroutine at a time (one proc per pool slot), so it needs no
@@ -72,7 +78,7 @@ func (w *workerProc) start(helloDeadline time.Duration) error {
 		w.kill()
 		return fmt.Errorf("serve: worker handshake: %w", err)
 	}
-	var hello Hello
+	var hello worker.Hello
 	if err := json.Unmarshal([]byte(line), &hello); err != nil || !hello.Hello {
 		w.kill()
 		return fmt.Errorf("serve: worker handshake: unexpected frame %q", line)
@@ -111,7 +117,7 @@ var errDeadline = fmt.Errorf("deadline expired")
 // Any failure — spawn error, death mid-unit, protocol garbage, deadline —
 // leaves the subprocess killed and detached, so the next run starts a
 // fresh one; the worker pool self-heals by construction.
-func (w *workerProc) run(req WorkRequest, deadline time.Duration) (*WorkReply, error) {
+func (w *workerProc) run(req worker.WorkRequest, deadline time.Duration) (*worker.WorkReply, error) {
 	if !w.alive() {
 		if err := w.start(deadline); err != nil {
 			return nil, err
@@ -133,7 +139,7 @@ func (w *workerProc) run(req WorkRequest, deadline time.Duration) (*WorkReply, e
 		}
 		return nil, err
 	}
-	var reply WorkReply
+	var reply worker.WorkReply
 	if err := json.Unmarshal([]byte(line), &reply); err != nil {
 		// The stream is no longer trustworthy once a frame fails to parse;
 		// kill the process rather than guess where the next frame starts.

@@ -11,11 +11,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"bear/internal/exp"
 	"bear/internal/fault"
+	"bear/internal/serve/worker"
 	"bear/internal/stats"
 )
 
@@ -86,7 +88,7 @@ func TestWorkerProcSupervision(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			w := newWorkerProc(c.argv, testFP)
 			defer w.kill()
-			_, err := w.run(WorkRequest{Unit: exp.UnitSpec{Design: "Alloy", Workload: "x"}, Attempt: 1},
+			_, err := w.run(worker.WorkRequest{Unit: exp.UnitSpec{Design: "Alloy", Workload: "x"}, Attempt: 1},
 				500*time.Millisecond)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %v, want substring %q", err, c.want)
@@ -101,7 +103,7 @@ func TestWorkerProcSupervision(t *testing.T) {
 func TestWorkerDeadlineIsTypedWatchdog(t *testing.T) {
 	w := newWorkerProc(fakeWorker(t, testFP, "read line; sleep 60"), testFP)
 	defer w.kill()
-	_, err := w.run(WorkRequest{Unit: exp.UnitSpec{Design: "BEAR", Workload: "mcf"}, Attempt: 2},
+	_, err := w.run(worker.WorkRequest{Unit: exp.UnitSpec{Design: "BEAR", Workload: "mcf"}, Attempt: 2},
 		300*time.Millisecond)
 	var we *fault.WatchdogError
 	if !errors.As(err, &we) {
@@ -118,7 +120,7 @@ func TestWorkerDeadlineIsTypedWatchdog(t *testing.T) {
 func TestWorkerFingerprintMismatchRefused(t *testing.T) {
 	w := newWorkerProc(fakeWorker(t, "other-fp", "cat >/dev/null"), testFP)
 	defer w.kill()
-	_, err := w.run(WorkRequest{Unit: exp.UnitSpec{Design: "Alloy", Workload: "x"}, Attempt: 1}, time.Second)
+	_, err := w.run(worker.WorkRequest{Unit: exp.UnitSpec{Design: "Alloy", Workload: "x"}, Attempt: 1}, time.Second)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("mismatched worker admitted: %v", err)
 	}
@@ -151,7 +153,17 @@ func TestServerRetriesThenFails(t *testing.T) {
 	if _, err := s.Submit(units); err != nil {
 		t.Fatal(err)
 	}
-	s.Wait()
+	// Several Wait callers at once: each wakes when the last unit fails,
+	// and none takes a requeued unit's wake-up from the pool slot.
+	var waiters sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			s.Wait()
+		}()
+	}
+	waiters.Wait()
 	p := s.Progress()
 	if p.Failed != 3 || p.Done != 0 {
 		t.Fatalf("progress = %+v, want 3 failed", p)
@@ -235,7 +247,7 @@ func TestServerEndToEndHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := json.Marshal(WorkReply{OK: true, Envelope: env})
+	reply, err := json.Marshal(worker.WorkReply{OK: true, Envelope: env})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,31 +400,5 @@ func TestDrainCheckpointsQueuedUnits(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(t.TempDir()); err != nil {
 		t.Fatalf("missing manifest should be a clean no-op: %v", err)
-	}
-}
-
-// TestWorkerLoopProtocol exercises WorkerLoop's framing without running a
-// simulation: hello first, an error reply for an invalid unit, clean EOF.
-func TestWorkerLoopProtocol(t *testing.T) {
-	in := strings.NewReader(`{"unit":{"design":"nope","workload":"x"},"attempt":1}` + "\n")
-	var out bytes.Buffer
-	r := exp.NewRunner(exp.Quick())
-	if err := WorkerLoop(r, testFP, in, &out); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("worker emitted %d frames, want hello + reply:\n%s", len(lines), out.String())
-	}
-	var hello Hello
-	if err := json.Unmarshal([]byte(lines[0]), &hello); err != nil || !hello.Hello || hello.Fingerprint != testFP {
-		t.Fatalf("hello frame %q (err %v)", lines[0], err)
-	}
-	var reply WorkReply
-	if err := json.Unmarshal([]byte(lines[1]), &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.OK || !strings.Contains(reply.Error, "unknown design") {
-		t.Fatalf("reply = %+v", reply)
 	}
 }

@@ -1,3 +1,26 @@
+// Package serve is bearserve's control plane: a long-running HTTP daemon
+// that schedules sweep units onto a supervised pool of worker subprocesses
+// (bearbench -worker), so a simulator crash, watchdog trip or OOM kills
+// one unit's process — never the server.
+//
+// The package follows the Banshee-style software/hardware split from the
+// cross-paper notes: a thin, always-up control plane (this package) over
+// replaceable, crash-prone execution units (worker processes running the
+// fully determinism-linted simulation stack). Robustness machinery lives
+// here and only here: per-unit wall-clock deadlines derived from
+// instruction budgets, retry with exponential backoff and deterministic
+// jitter (every failing unit gets exactly MaxAttempts tries), a read-back
+// of each ingested result, and a SIGTERM drain that checkpoints progress
+// into the resume store. Because this package is off the simulation path,
+// it is exempt from the determinism lint the sanctioned way (see
+// cmd/simlint's repoConfig) — wall clocks, timers and goroutines are its
+// job.
+//
+// The worker side of the protocol (its frames and the loop a
+// `bearbench -worker` process runs) lives in internal/serve/worker. That
+// package runs inside the simulating process, so it stays under the
+// determinism lint, and it links only the simulator stack, so a worker
+// spawn does not pay for net/http.
 package serve
 
 import (
@@ -13,6 +36,7 @@ import (
 	"bear/internal/config"
 	"bear/internal/exp"
 	"bear/internal/faultpoint"
+	"bear/internal/serve/worker"
 )
 
 // Config parameterises a Server. Zero fields take the documented defaults
@@ -101,7 +125,11 @@ type unit struct {
 type Server struct {
 	cfg Config
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// cond wakes two kinds of waiter: pool slots in next (work queued, or
+	// drain) and Wait callers (pending reached zero, or drain). Every wake
+	// is a Broadcast, because a Signal could land on a Wait caller and
+	// leave a queued unit undispatched.
 	cond     *sync.Cond
 	units    map[string]*unit
 	ready    []*unit // dispatch queue (FIFO)
@@ -170,7 +198,9 @@ func (s *Server) Submit(specs []exp.UnitSpec) (int, error) {
 		s.ready = append(s.ready, u)
 		s.pending++
 		accepted++
-		s.cond.Signal()
+	}
+	if accepted > 0 {
+		s.cond.Broadcast()
 	}
 	return accepted, nil
 }
@@ -220,7 +250,7 @@ func (s *Server) attempt(w *workerProc, u *unit) error {
 	if faultpoint.HitAt("sched.dispatch", u.key, u.attempts) == faultpoint.SchedDrop {
 		return fmt.Errorf("injected fault: scheduler dropped the dispatched unit")
 	}
-	reply, err := w.run(WorkRequest{Unit: u.spec, Attempt: u.attempts}, s.cfg.UnitDeadline)
+	reply, err := w.run(worker.WorkRequest{Unit: u.spec, Attempt: u.attempts}, s.cfg.UnitDeadline)
 	if err != nil {
 		return err
 	}
@@ -249,7 +279,7 @@ func (s *Server) complete(u *unit, err error) {
 	defer s.mu.Unlock()
 	if err == nil {
 		u.state = StateDone
-		s.pending--
+		s.finish()
 		return
 	}
 	u.errs = append(u.errs, fmt.Sprintf("attempt %d: %v", u.attempts, err))
@@ -259,7 +289,7 @@ func (s *Server) complete(u *unit, err error) {
 	}
 	if u.attempts >= s.cfg.MaxAttempts {
 		u.state = StateFailed
-		s.pending--
+		s.finish()
 		return
 	}
 	u.state = StateBackoff
@@ -276,19 +306,27 @@ func (s *Server) requeue(u *unit) {
 	}
 	u.state = StateQueued
 	s.ready = append(s.ready, u)
-	s.cond.Signal()
+	s.cond.Broadcast()
+}
+
+// finish counts one unit terminal and wakes Wait when it was the last.
+// Callers hold s.mu.
+func (s *Server) finish() {
+	s.pending--
+	if s.pending == 0 {
+		s.cond.Broadcast()
+	}
 }
 
 // Wait blocks until every submitted unit is terminal (done or failed), or
-// the server drains. Tests and the CLI's one-shot mode use it; the HTTP
-// surface exposes the same information incrementally via /progress.
+// the server drains. It wakes the moment either happens. Tests and
+// in-process sweep drivers use it; the HTTP surface exposes the same
+// information incrementally via /progress.
 func (s *Server) Wait() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.pending > 0 && !s.draining {
-		s.mu.Unlock()
-		time.Sleep(20 * time.Millisecond)
-		s.mu.Lock()
+		s.cond.Wait()
 	}
 }
 
